@@ -39,7 +39,6 @@ from .correction import (
     DifferenceTable,
     NoPlateauError,
     PlateauResult,
-    build_difference_table,
     corrected_forecast,
     find_plateau,
 )
@@ -75,7 +74,6 @@ from .fitting import (
     contiguous_folds,
     fit_kfold,
     fit_least_squares,
-    predict,
     usable_point_indices,
 )
 from .io import (

@@ -10,18 +10,12 @@ extends that far) is that next entry's true value.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .correction import (
-    DifferenceTable,
-    NoPlateauError,
-    corrected_forecast,
-    find_plateau,
-)
+from .correction import NoPlateauError
 from .embedding import PhaseSpace, TimeSeries
 from .fitting import PolynomialMap
 
@@ -88,6 +82,110 @@ def error_window(
     return actuals, forecasts
 
 
+def _forecast_batch(
+    fmap: PolynomialMap,
+    series: TimeSeries,
+    space: PhaseSpace,
+    points: np.ndarray,
+    window: int,
+    n_cap: int,
+    fallback_on_no_plateau: bool,
+) -> Tuple[ForecastRecord, ...]:
+    """Raw and corrected forecasts at every anchor point in ``points``.
+
+    The map is evaluated once over the block of points the error windows
+    cover.  The last n_cap + 1 errors of each window are differenced
+    row-wise, one order at a time, until every anchor has its plateau
+    order k*: the smallest k with |Delta^k eps| <= |Delta^(k+1) eps|.
+    The IGF forecast adds the anchor deltas of orders 0..k* to the GF
+    forecast in order, as corrected_forecast does.
+    """
+    if not 1 <= n_cap <= window:
+        raise ValueError(f"n_cap {n_cap} must lie in 1..window {window}")
+    if len(points) == 0:
+        return ()
+    span = space.params.window_span
+    entries = points + span + 2  # 1-based anchor labels
+    first, last = int(points.min()), int(points.max())
+    if first < window or last >= space.point_count - 1:
+        bad = entries[(points < window) | (points >= space.point_count - 1)][0]
+        raise ValueError(
+            f"anchor entry {bad} does not admit a correction window of size "
+            f"{window} and a forecast point inside the series"
+        )
+    # Point r forecasts series index r + span + 1.  Each anchor's window
+    # holds the errors of points anchor - window .. anchor.
+    lo = first - window
+    errors = series.values[lo + span + 1 : last + span + 2] - fmap.predict_many(
+        space.points[lo : last + 1]
+    )
+    eps = errors[(points - first)[:, None] + np.arange(window + 1)]
+    gf = fmap.predict_many(space.points[points + 1])
+    if not np.isfinite(eps).all():
+        bad = entries[~np.isfinite(eps).all(axis=1)][0]
+        raise ValueError(
+            f"epsilon window at anchor {bad} contains non-finite values"
+        )
+
+    perfect = (eps == 0.0).all(axis=1)
+    diffs = eps[:, -(n_cap + 1) :]
+    deltas = [diffs[:, -1]]
+    mags = [np.abs(deltas[0])]
+    searching = ~perfect  # magnitudes still falling
+    for _ in range(n_cap):
+        diffs = diffs[:, 1:] - diffs[:, :-1]
+        deltas.append(diffs[:, -1])
+        mags.append(np.abs(deltas[-1]))
+        searching[mags[-2] <= mags[-1]] = False
+        if not searching.any():
+            break
+    if searching.any() and not fallback_on_no_plateau:
+        raise NoPlateauError(
+            f"no plateau at anchor {entries[searching][0]}: magnitudes fall "
+            f"through order {n_cap} without |Delta^k| <= |Delta^(k+1)| "
+            f"(cap {n_cap})"
+        )
+    mags = np.array(mags)
+    k_star = np.where(
+        perfect | searching, -1, (mags[:-1] <= mags[1:]).argmax(axis=0)
+    )
+    # Row j of the running sums is gf + Delta^0 + ... + Delta^(j-1), so
+    # row k* + 1 is the IGF forecast and row 0 (k* = -1) is gf.
+    sums = np.cumsum(np.array([gf] + deltas), axis=0)
+    igf = sums[k_star + 1, np.arange(len(points))]
+
+    records = []
+    for entry, gf_i, igf_i, k, is_perfect, no_plateau in zip(
+        entries.tolist(), gf.tolist(), igf.tolist(), k_star.tolist(),
+        perfect.tolist(), searching.tolist(),
+    ):
+        flags = set()
+        if is_perfect:
+            flags.add(FLAG_NO_CORRECTION_NEEDED)
+        elif no_plateau:
+            flags.add(FLAG_NO_PLATEAU)
+        actual = gf_err = igf_err = None
+        if entry < len(series):  # the forecast target's 0-based index
+            actual = float(series.values[entry])
+            if abs(actual) < NEAR_ZERO_THRESHOLD:
+                flags.add(FLAG_NEAR_ZERO_ACTUAL)
+            gf_err = percentage_error(actual, gf_i)
+            igf_err = percentage_error(actual, igf_i)
+        records.append(
+            ForecastRecord(
+                entry=entry,
+                gf_forecast=gf_i,
+                igf_forecast=igf_i,
+                k_star=None if k < 0 else k,
+                actual=actual,
+                gf_error_pct=gf_err,
+                igf_error_pct=igf_err,
+                flags=frozenset(flags),
+            )
+        )
+    return tuple(records)
+
+
 def forecast_improved(
     fmap: PolynomialMap,
     series: TimeSeries,
@@ -104,56 +202,13 @@ def forecast_improved(
     difference table built over the previous ``window`` + 1 forecast
     errors.  Raises NoPlateauError when the magnitudes never stop falling
     within ``n_cap`` orders, unless ``fallback_on_no_plateau`` is set, in
-    which case the record carries the raw forecast and a flag.
+    which case the record carries the raw forecast and a flag.  This is
+    a survey of one anchor.
     """
-    if window < n_cap:
-        raise ValueError(f"window {window} must be at least n_cap {n_cap}")
-    if not 0 <= point_index < space.point_count - 1:
-        raise ValueError(
-            f"point {point_index} cannot anchor a forecast; need "
-            f"0 <= point < {space.point_count - 1} so the forecast point exists"
-        )
-    span = space.params.window_span
-    entry = point_index + span + 2  # 1-based label of the anchor series entry
-    actuals, forecasts = error_window(fmap, series, space, point_index, window)
-    gf = fmap.predict(space.points[point_index + 1])
-
-    flags = set()
-    k_star: int | None = None
-    igf = gf
-    eps = actuals - forecasts
-    if np.all(eps == 0.0):
-        flags.add(FLAG_NO_CORRECTION_NEEDED)
-    else:
-        table = DifferenceTable(eps, anchor=entry)
-        try:
-            plateau = find_plateau(table, n_cap=n_cap)
-        except NoPlateauError:
-            if not fallback_on_no_plateau:
-                raise
-            flags.add(FLAG_NO_PLATEAU)
-        else:
-            k_star = plateau.k_star
-            igf = corrected_forecast(gf, table, k_star)
-
-    target_next = point_index + span + 2  # 0-based index of the forecast entry
-    actual = gf_err = igf_err = None
-    if target_next < len(series):
-        actual = float(series.values[target_next])
-        if abs(actual) < NEAR_ZERO_THRESHOLD:
-            flags.add(FLAG_NEAR_ZERO_ACTUAL)
-        gf_err = percentage_error(actual, gf)
-        igf_err = percentage_error(actual, igf)
-    return ForecastRecord(
-        entry=entry,
-        gf_forecast=gf,
-        igf_forecast=igf,
-        k_star=k_star,
-        actual=actual,
-        gf_error_pct=gf_err,
-        igf_error_pct=igf_err,
-        flags=frozenset(flags),
-    )
+    return _forecast_batch(
+        fmap, series, space, np.array([point_index]), window, n_cap,
+        fallback_on_no_plateau,
+    )[0]
 
 
 class LogRatioPoint(NamedTuple):
@@ -218,40 +273,20 @@ def survey(
     window: int = 40,
     n_cap: int = 30,
     include_near_zero: bool = True,
-    jobs: int = 1,
 ) -> SurveyReport:
     """Run corrected forecasts at many anchors and aggregate the errors.
 
     ``entries`` are 1-based anchor entries; every one must admit a full
-    correction window and an in-range forecast point.  Per-anchor plateau
-    failures become flagged records rather than aborting the survey.
-    Means cover records with known actuals, excluding near-zero actuals
-    when ``include_near_zero`` is false.  Output order follows input
-    order regardless of ``jobs``.
+    correction window and an in-range forecast point.  All anchors are
+    evaluated in one batch, and records follow the input order.
+    Per-anchor plateau failures become flagged records rather than
+    aborting the survey.  Means cover records with known actuals,
+    excluding near-zero actuals when ``include_near_zero`` is false.
     """
-    span = space.params.window_span
-    entries = list(entries)
-    points = []
-    for entry in entries:
-        point = entry - span - 2  # invert entry = point + span + 2
-        if point < window or point >= space.point_count - 1:
-            raise ValueError(
-                f"anchor entry {entry} does not admit a correction window of "
-                f"size {window} inside the series"
-            )
-        points.append(point)
-
-    def run(point: int) -> ForecastRecord:
-        return forecast_improved(
-            fmap, series, space, point, window, n_cap,
-            fallback_on_no_plateau=True,
-        )
-
-    if jobs > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = tuple(pool.map(run, points))
-    else:
-        records = tuple(run(p) for p in points)
+    points = np.array(list(entries), dtype=int) - space.params.window_span - 2
+    records = _forecast_batch(
+        fmap, series, space, points, window, n_cap, fallback_on_no_plateau=True
+    )
 
     included = [
         rec

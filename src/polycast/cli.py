@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import monomial_label
 from .bench import equally_spaced, error_window, forecast_improved, survey
 from .config import RunConfig, load_config
-from .correction import NoPlateauError, build_difference_table
+from .correction import DifferenceTable, NoPlateauError
 from .dynamics import BlowupError, LorenzParams, lorenz_series
 from .embedding import EmbeddingParams, PhaseSpace, TimeSeries, reconstruct
 from .fitting import FitConfig, FitError, PolynomialMap, fit_kfold, usable_point_indices
@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override one configuration key (repeatable)",
     )
     common.add_argument("--output-dir", metavar="DIR", help="output directory")
-    common.add_argument("--jobs", type=int, metavar="N", help="worker count for surveys")
 
     parser = argparse.ArgumentParser(
         prog="polycast",
@@ -86,8 +85,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         config = config.with_settings(overrides)
     if args.output_dir:
         config = config.with_settings({"output.dir": args.output_dir})
-    if args.jobs is not None:
-        config = config.with_settings({"jobs": str(args.jobs)})
     if getattr(args, "entry", None) is not None:
         config = config.with_settings({"forecast.entry": str(args.entry)})
     return config
@@ -220,7 +217,7 @@ def cmd_forecast(config: RunConfig, args: argparse.Namespace) -> int:
         fmap, series, space, point, window=config.window, n_cap=config.n_cap
     )
     actuals, forecasts = error_window(fmap, series, space, point, config.window)
-    table = build_difference_table(actuals, forecasts, anchor=record.entry)
+    table = DifferenceTable(actuals - forecasts, anchor=record.entry)
     magnitudes = table.magnitudes(min(config.n_cap, table.window))
     pio.write_delta_table_csv(config.resolved_delta_table_file, magnitudes)
     print(f"anchor entry {entry} (forecasting entry {entry + 1})")
@@ -251,7 +248,6 @@ def cmd_survey(config: RunConfig, args: argparse.Namespace) -> int:
         entries,
         window=config.window,
         n_cap=config.n_cap,
-        jobs=config.jobs,
     )
     pio.write_report_csv(config.resolved_report_file, report)
     pio.write_log_ratio_csv(config.resolved_log_ratio_file, report)

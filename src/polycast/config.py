@@ -75,12 +75,11 @@ class RunConfig:
     survey_stop: int = 500
     survey_step: int = 10
     forecast_entry: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         positive = (
             "steps", "substeps", "lag", "dimension", "degree", "folds",
-            "train_start", "outputs", "window", "n_cap", "survey_step", "jobs",
+            "train_start", "outputs", "window", "n_cap", "survey_step",
         )
         for name in positive:
             if getattr(self, name) < 1:
@@ -164,7 +163,6 @@ KEYS = {
     "survey.stop": ("survey_stop", _parse_int),
     "survey.step": ("survey_step", _parse_int),
     "forecast.entry": ("forecast_entry", _parse_int),
-    "jobs": ("jobs", _parse_int),
 }
 
 KEY_FOR_FIELD = {field: key for key, (field, _) in KEYS.items()}

@@ -69,39 +69,12 @@ class DifferenceTable:
         return np.array([abs(self.delta_at_anchor(k)) for k in range(k_max + 1)])
 
 
-def build_difference_table(
-    actuals: Sequence[float],
-    forecasts: Sequence[float],
-    k_max: int = 0,
-    anchor: int | None = None,
-) -> DifferenceTable:
-    """Table over eps = actuals - forecasts with rows 0..k_max precomputed.
-
-    Both inputs cover the window J = P-a .. P in order, so their shared
-    length is a+1 and valid difference orders run 0..a.
-    """
-    actuals = np.asarray(actuals, dtype=float)
-    forecasts = np.asarray(forecasts, dtype=float)
-    if actuals.shape != forecasts.shape:
-        raise ValueError(
-            f"actuals and forecasts differ in shape: {actuals.shape} vs "
-            f"{forecasts.shape}"
-        )
-    table = DifferenceTable(actuals - forecasts, anchor=anchor)
-    if not 0 <= k_max <= table.window:
-        raise ValueError(
-            f"k_max {k_max} out of range for window of size {table.window}"
-        )
-    table.row(k_max)
-    return table
-
-
 @dataclass(frozen=True)
 class PlateauResult:
     """Outcome of a plateau search.
 
     ``magnitudes[i]`` is |Delta^k eps| for k = first_k + i; the search
-    examined orders up to ``n_final``.
+    compared orders up to ``n_final`` = k_star + 1.
     """
 
     k_star: int
@@ -112,8 +85,6 @@ class PlateauResult:
 
 def find_plateau(
     source: Union[DifferenceTable, Sequence[float]],
-    n_start: int = 10,
-    n_step: int = 10,
     n_cap: int = 30,
     first_k: int = 0,
 ) -> PlateauResult:
@@ -121,16 +92,13 @@ def find_plateau(
 
     ``source`` is either a DifferenceTable (orders from 0, magnitudes
     taken at the anchor) or a raw magnitude sequence whose first entry is
-    order ``first_k``.  The search scans orders k = first_k .. n-1 for
-    the smallest k with magnitude(k) <= magnitude(k+1), growing n from
-    ``n_start`` by ``n_step`` until a plateau is found or ``n_cap`` is
-    reached; a table must therefore carry a window of at least ``n_cap``.
+    order ``first_k``.  The search scans orders k = first_k .. n-1, where
+    n is ``n_cap`` or the last order available if that is smaller, for
+    the smallest k with magnitude(k) <= magnitude(k+1); a table must
+    therefore carry a window of at least ``n_cap``.
     """
-    if n_start < 1 or n_step < 1 or n_cap < 1:
-        raise ValueError(
-            f"n_start, n_step, and n_cap must all be >= 1, got "
-            f"n_start={n_start}, n_step={n_step}, n_cap={n_cap}"
-        )
+    if n_cap < 1:
+        raise ValueError(f"n_cap must be >= 1, got {n_cap}")
     anchor = None
     if isinstance(source, DifferenceTable):
         if first_k != 0:
@@ -139,49 +107,29 @@ def find_plateau(
             raise ValueError(
                 f"table window {source.window} is smaller than n_cap {n_cap}"
             )
-        mags = [abs(source.delta_at_anchor(0))]
-
-        def magnitude(k: int) -> float:
-            while len(mags) <= k:
-                mags.append(abs(source.delta_at_anchor(len(mags))))
-            return mags[k]
-
-        max_k = source.window
+        mags = source.magnitudes(n_cap).tolist()
         anchor = source.anchor
     else:
-        seq = [abs(float(v)) for v in source]
-        if not seq:
+        mags = [abs(float(v)) for v in source]
+        if not mags:
             raise ValueError("magnitude sequence is empty")
         if first_k < 0:
             raise ValueError(f"first_k must be >= 0, got {first_k}")
-        mags = seq
 
-        def magnitude(k: int) -> float:
-            return seq[k - first_k]
-
-        max_k = first_k + len(seq) - 1
-
-    n = min(n_start, n_cap)
-    while True:
-        limit = min(n, max_k)
-        for k in range(first_k, limit):
-            if magnitude(k) <= magnitude(k + 1):
-                n_final = limit
-                return PlateauResult(
-                    k_star=k,
-                    magnitudes=tuple(
-                        magnitude(j) for j in range(first_k, n_final + 1)
-                    ),
-                    n_final=n_final,
-                    first_k=first_k,
-                )
-        if n >= n_cap or limit >= max_k:
-            where = "" if anchor is None else f" at anchor {anchor}"
-            raise NoPlateauError(
-                f"no plateau{where}: magnitudes fall through order {limit} "
-                f"without |Delta^k| <= |Delta^(k+1)| (cap {n_cap})"
+    limit = min(n_cap, first_k + len(mags) - 1)
+    for k in range(first_k, limit):
+        if mags[k - first_k] <= mags[k + 1 - first_k]:
+            return PlateauResult(
+                k_star=k,
+                magnitudes=tuple(mags[: k + 2 - first_k]),
+                n_final=k + 1,
+                first_k=first_k,
             )
-        n = min(n + n_step, n_cap)
+    where = "" if anchor is None else f" at anchor {anchor}"
+    raise NoPlateauError(
+        f"no plateau{where}: magnitudes fall through order {limit} "
+        f"without |Delta^k| <= |Delta^(k+1)| (cap {n_cap})"
+    )
 
 
 def corrected_forecast(

@@ -232,8 +232,3 @@ def fit_kfold(
         except FitError as exc:
             raise type(exc)(f"fold {k + 1} of {config.folds}: {exc}") from exc
     return PolynomialMap(basis, np.mean(per_fold, axis=0))
-
-
-def predict(fmap: PolynomialMap, point: Sequence[float]) -> float:
-    """Evaluate a fitted map at one phase-space point."""
-    return fmap.predict(point)

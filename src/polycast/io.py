@@ -152,7 +152,7 @@ def load_map(path) -> PolynomialMap:
     """Read a map written by save_map.
 
     Term lines may appear in any order; monomials missing from the file
-    take coefficient zero and unknown monomials are rejected.
+    take coefficient zero, and unknown or repeated monomials are rejected.
     """
     with open(path) as fh:
         lines = [line.strip() for line in fh if line.strip()]
@@ -171,6 +171,7 @@ def load_map(path) -> PolynomialMap:
     basis = enumerate_monomials(m, degree, constant)
     index = {mono: i for i, mono in enumerate(basis.monomials)}
     coeffs = np.zeros(len(basis))
+    seen = set()
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != m + 1:
@@ -180,5 +181,8 @@ def load_map(path) -> PolynomialMap:
             raise ValueError(
                 f"{path}: monomial {mono} is not in the declared basis"
             )
+        if mono in seen:
+            raise ValueError(f"{path}: monomial {mono} appears more than once")
+        seen.add(mono)
         coeffs[index[mono]] = float(parts[0])
     return PolynomialMap(basis, coeffs)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polycast import (
+    DifferenceTable,
     EmbeddingParams,
     FitConfig,
     ForecastRecord,
@@ -13,11 +14,15 @@ from polycast import (
     FLAG_NO_CORRECTION_NEEDED,
     FLAG_NO_PLATEAU,
     LOG_RATIO_CAP,
+    NEAR_ZERO_THRESHOLD,
+    NoPlateauError,
     PolynomialMap,
     TimeSeries,
     enumerate_monomials,
+    corrected_forecast,
     equally_spaced,
     error_window,
+    find_plateau,
     fit_kfold,
     forecast_improved,
     log_ratio_series,
@@ -254,18 +259,117 @@ def test_survey_preserves_order_and_aggregates(pipeline):
     assert report.mean_igf_error_pct == pytest.approx(np.mean(igf_errs), rel=1e-12)
 
 
-def test_survey_deterministic_and_thread_equivalent(pipeline):
+def test_survey_deterministic(pipeline):
     series, space, fmap = pipeline
     entries = equally_spaced(330, 430, 10)
     a = survey(fmap, series, space, entries)
     b = survey(fmap, series, space, entries)
-    c = survey(fmap, series, space, entries, jobs=3)
-    for x, y in ((a, b), (a, c)):
-        for ra, rb in zip(x.records, y.records):
-            assert ra.gf_forecast == rb.gf_forecast
-            assert ra.igf_forecast == rb.igf_forecast
-            assert ra.k_star == rb.k_star
-            assert ra.flags == rb.flags
+    assert a.records == b.records
+
+
+def _reference_forecast(fmap, series, space, point, window=40, n_cap=30):
+    """(gf, igf, k*, flags) from a literal per-anchor correction."""
+    span = space.params.window_span
+    entry = point + span + 2
+    actuals, forecasts = error_window(fmap, series, space, point, window)
+    eps = actuals - forecasts
+    gf = fmap.predict(space.points[point + 1])
+    igf, k_star, flags = gf, None, set()
+    if np.all(eps == 0.0):
+        flags.add(FLAG_NO_CORRECTION_NEEDED)
+    else:
+        table = DifferenceTable(eps, anchor=entry)
+        try:
+            k_star = find_plateau(table.magnitudes(n_cap), n_cap=n_cap).k_star
+        except NoPlateauError:
+            flags.add(FLAG_NO_PLATEAU)
+        else:
+            igf = corrected_forecast(gf, table, k_star)
+    if entry < len(series) and abs(series.values[entry]) < NEAR_ZERO_THRESHOLD:
+        flags.add(FLAG_NEAR_ZERO_ACTUAL)
+    return gf, igf, k_star, frozenset(flags)
+
+
+def _valid_points(space, window=40):
+    return range(window, space.point_count - 1)
+
+
+def test_survey_matches_per_anchor_reference(pipeline):
+    series, space, fmap = pipeline
+    span = space.params.window_span
+    points = _valid_points(space)
+    report = survey(fmap, series, space, [p + span + 2 for p in points])
+    assert len(report.records) == len(points) == 547
+    for point, rec in zip(points, report.records):
+        gf, igf, k_star, flags = _reference_forecast(fmap, series, space, point)
+        assert rec.entry == point + span + 2
+        assert rec.k_star == k_star
+        assert rec.flags == flags
+        assert rec.gf_forecast == pytest.approx(gf, rel=1e-12)
+        assert rec.igf_forecast == pytest.approx(igf, rel=1e-12)
+
+
+def test_forecast_improved_is_bit_identical_to_reference(pipeline):
+    series, space, fmap = pipeline
+    for point in _valid_points(space):
+        rec = forecast_improved(
+            fmap, series, space, point, fallback_on_no_plateau=True
+        )
+        assert (rec.gf_forecast, rec.igf_forecast, rec.k_star, rec.flags) == (
+            _reference_forecast(fmap, series, space, point)
+        )
+
+
+def test_tie_stops_the_batched_search():
+    # every error is -0.5, so |Delta^1| = |Delta^2| = 0: the tie stops the
+    # search at k* = 1 and the correction lands exactly on the series
+    series = TimeSeries(np.full(120, 3.25))
+    space = reconstruct(series, EmbeddingParams(6, 3))
+    fmap = PolynomialMap(
+        enumerate_monomials(3, 1, include_constant=True),
+        np.array([0.5, 0.0, 0.0, 1.0]),
+    )
+    offset = space.params.window_span + 2  # entry = point + offset
+    report = survey(fmap, series, space, (60, 74, 90))
+    single = forecast_improved(fmap, series, space, 60 - offset)
+    for rec in report.records + (single,):
+        assert (rec.gf_forecast, rec.igf_forecast, rec.k_star, rec.flags) == (
+            _reference_forecast(fmap, series, space, rec.entry - offset)
+        ) == (3.75, 3.25, 1, frozenset())
+
+
+def test_survey_does_not_look_ahead(pipeline):
+    # changing the value one mid-block anchor forecasts leaves that
+    # anchor's forecasts and every earlier record bit-identical
+    series, space, fmap = pipeline
+    entries = equally_spaced(330, 400, 1)
+    anchor = 360
+    doctored = series.values.copy()
+    doctored[anchor] = 123.456  # the 0-based index of the forecast target
+    d_series = TimeSeries(doctored)
+    a = survey(fmap, series, space, entries)
+    b = survey(fmap, d_series, reconstruct(d_series, space.params), entries)
+    for ra, rb in zip(a.records, b.records):
+        if ra.entry < anchor:
+            assert ra == rb
+        elif ra.entry == anchor:
+            assert (ra.gf_forecast, ra.igf_forecast, ra.k_star) == (
+                rb.gf_forecast, rb.igf_forecast, rb.k_star
+            )
+            assert rb.actual == 123.456
+
+
+def test_non_finite_error_window_is_rejected():
+    # the map overflows to inf on every point, so every error window is -inf
+    series = TimeSeries(np.full(120, 10.0))
+    space = reconstruct(series, EmbeddingParams(6, 3))
+    basis = enumerate_monomials(3, 1, include_constant=False)
+    fmap = PolynomialMap(basis, np.array([0.0, 0.0, 1e308]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            forecast_improved(fmap, series, space, 60)
+        with pytest.raises(ValueError, match="non-finite"):
+            survey(fmap, series, space, (60, 74, 90))
 
 
 def test_survey_empty_entries(pipeline):

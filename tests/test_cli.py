@@ -273,11 +273,25 @@ def test_precedence_chain(tmp_path, monkeypatch):
     assert (tmp_path / "from_flag" / "series.csv").exists()
 
 
-def test_jobs_flag_equivalent_output(tmp_path):
-    assert main(["fit", "--output-dir", "j1"]) == EXIT_OK
-    assert main(["survey", "--output-dir", "j1"]) == EXIT_OK
-    assert main(["fit", "--output-dir", "j3"]) == EXIT_OK
-    assert main(["survey", "--output-dir", "j3", "--jobs", "3"]) == EXIT_OK
-    a = (tmp_path / "j1" / "survey.csv").read_bytes()
-    b = (tmp_path / "j3" / "survey.csv").read_bytes()
-    assert a == b
+def test_jobs_setting_rejected(tmp_path, capsys):
+    # surveys run as one batch; the former worker-count setting is an
+    # unknown key and the flag an unknown argument
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("jobs = 3\n")
+    assert main(["survey", "--config", str(cfg)]) == EXIT_IO
+    assert "unknown configuration key 'jobs'" in capsys.readouterr().err
+    assert main(["survey", "--set", "jobs=3"]) == EXIT_IO
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--jobs", "3"])
+    assert exc.value.code == 2
+
+
+def test_survey_duplicate_map_line_is_io_error(tmp_path, capsys):
+    assert main(["fit"]) == EXIT_OK
+    path = tmp_path / "out" / "map.txt"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[1]]) + "\n")
+    assert main(["survey"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "more than once" in err
+    assert "Traceback" not in err

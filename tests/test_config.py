@@ -21,7 +21,6 @@ def test_defaults():
     assert (cfg.train_start, cfg.train_stop) == (1, 0)
     assert (cfg.window, cfg.n_cap) == (40, 30)
     assert (cfg.survey_start, cfg.survey_stop, cfg.survey_step) == (300, 500, 10)
-    assert cfg.jobs == 1
 
 
 def test_parse_config_text():
@@ -81,8 +80,8 @@ def test_validation_of_ranges():
         RunConfig(folds=0)
     with pytest.raises(ValueError, match="lorenz.dt"):
         RunConfig(dt=0.0)
-    with pytest.raises(ValueError, match="jobs"):
-        RunConfig(jobs=0)
+    with pytest.raises(ValueError, match="survey.step"):
+        RunConfig(survey_step=0)
 
 
 def test_resolved_paths_follow_output_dir():

@@ -6,7 +6,6 @@ import pytest
 from polycast import (
     DifferenceTable,
     NoPlateauError,
-    build_difference_table,
     corrected_forecast,
     find_plateau,
 )
@@ -63,21 +62,21 @@ def test_table_validation():
         DifferenceTable(np.array([1.0, np.nan]))
 
 
-def test_perfect_forecasts_give_zero_rows():
-    actuals = np.linspace(0.0, 1.0, 8)
-    table = build_difference_table(actuals, actuals, k_max=7)
-    for k in range(8):
-        assert np.array_equal(table.row(k), np.zeros(8 - k))
-
-
-def test_build_difference_table_validation():
-    with pytest.raises(ValueError):
-        build_difference_table(np.ones(3), np.ones(4))
-    with pytest.raises(ValueError):
-        build_difference_table(np.ones(3), np.ones(3), k_max=3)
-    table = build_difference_table(np.arange(5.0), np.zeros(5), anchor=316)
+def test_table_keeps_anchor_and_epsilon():
+    table = DifferenceTable(np.arange(5.0), anchor=316)
     assert table.anchor == 316
     assert np.array_equal(table.epsilon, np.arange(5.0))
+    assert DifferenceTable(np.ones(3)).anchor is None
+    # orders past the window size do not exist
+    with pytest.raises(ValueError):
+        DifferenceTable(np.ones(3)).magnitudes(3)
+
+
+def test_perfect_forecasts_give_zero_rows():
+    actuals = np.linspace(0.0, 1.0, 8)
+    table = DifferenceTable(actuals - actuals)
+    for k in range(8):
+        assert np.array_equal(table.row(k), np.zeros(8 - k))
 
 
 def test_anchor_delta_matches_binomial_identity():
@@ -128,24 +127,34 @@ def test_plateau_tie_counts_as_stopped():
     assert find_plateau((1.0, 2.0, 0.5)).k_star == 0
 
 
-def test_plateau_first_pass_bound():
-    # found inside the first pass: n_final is min(n_start, max order)
-    result = find_plateau(MAGS_C, n_start=10, n_step=10, n_cap=30)
-    assert result.n_final == 10
-    assert result.magnitudes == MAGS_C[:11]
+def test_plateau_n_final_is_last_order_compared():
+    # the search stops at the first rise: n_final is k* + 1, and the
+    # reported magnitudes run through it
+    result = find_plateau(MAGS_C, n_cap=30)
+    assert result.n_final == KSTAR_C + 1 == 2
+    assert result.magnitudes == MAGS_C[:3]
+    result = find_plateau(MAGS_A, first_k=1)
+    assert result.n_final == KSTAR_A + 1
+    assert result.magnitudes == MAGS_A[: KSTAR_A + 1]
 
 
-def test_plateau_search_granularity_invariant():
-    for mags, first_k in ((MAGS_A, 1), (MAGS_B, 1), (MAGS_C, 0), (MAGS_D, 0)):
-        coarse = find_plateau(mags, first_k=first_k)
-        fine = find_plateau(mags, n_start=1, n_step=1, n_cap=30, first_k=first_k)
-        assert coarse.k_star == fine.k_star
+def test_plateau_k_star_independent_of_cap():
+    # any cap that reaches the first rise finds the same plateau; a cap
+    # short of it finds none
+    for mags, first_k, k_star in (
+        (MAGS_A, 1, KSTAR_A), (MAGS_B, 1, KSTAR_B),
+        (MAGS_C, 0, KSTAR_C), (MAGS_D, 0, KSTAR_D),
+    ):
+        for n_cap in range(k_star + 1, 31):
+            assert find_plateau(mags, n_cap=n_cap, first_k=first_k).k_star == k_star
+        with pytest.raises(NoPlateauError):
+            find_plateau(mags, n_cap=k_star, first_k=first_k)
 
 
 def test_no_plateau_on_strictly_decreasing():
     mags = tuple(2.0 ** -k for k in range(31))
     with pytest.raises(NoPlateauError):
-        find_plateau(mags, n_start=10, n_step=10, n_cap=30)
+        find_plateau(mags, n_cap=30)
 
 
 def test_no_plateau_mentions_anchor():
@@ -168,7 +177,7 @@ def test_find_plateau_validation():
     with pytest.raises(ValueError):
         find_plateau((1.0, 2.0), first_k=-1)
     with pytest.raises(ValueError):
-        find_plateau((1.0, 2.0), n_start=0)
+        find_plateau((1.0, 2.0), n_cap=0)
 
 
 def test_find_plateau_on_table_matches_magnitude_path():

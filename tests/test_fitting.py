@@ -15,7 +15,6 @@ from polycast import (
     enumerate_monomials,
     fit_kfold,
     fit_least_squares,
-    predict,
     reconstruct,
     usable_point_indices,
 )
@@ -239,7 +238,7 @@ def test_polynomial_map_validation_and_predict():
     assert fmap.predict((1.0, 1.0)) == pytest.approx(6.0, rel=1e-15)
     pts = np.array([[0.0, 0.0], [1.0, -1.0]])
     assert np.allclose(fmap.predict_many(pts), [1.0, 0.0])
-    assert predict(fmap, (0.0, 0.0)) == 1.0
+    assert fmap.predict((0.0, 0.0)) == 1.0
     poly = fmap.to_polynomial()
     assert poly.evaluate((0.5, 0.25)) == pytest.approx(
         fmap.predict((0.5, 0.25)), rel=1e-14

@@ -194,3 +194,13 @@ def test_load_map_errors(tmp_path):
     path.write_text("# degree=1 m=3 constant=false\n1.0 0 0 2\n")
     with pytest.raises(ValueError, match="basis"):
         load_map(path)
+
+
+def test_load_map_rejects_duplicate_monomial(tmp_path):
+    # a repeated term line would otherwise silently keep the last value
+    path = tmp_path / "map.txt"
+    path.write_text(
+        "# degree=1 m=3 constant=false\n1.0 0 0 1\n2.0 0 1 0\n3.0 0 0 1\n"
+    )
+    with pytest.raises(ValueError, match=r"monomial \(0, 0, 1\) appears more than once"):
+        load_map(path)
