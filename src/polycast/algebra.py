@@ -9,14 +9,19 @@ The canonical term order is graded lexicographic: terms are sorted by
 ascending total degree, and within a degree lexicographically with
 variable 0 strongest (for three variables: x1^2, x1*x2, x1*x3, x2^2,
 x2*x3, x3^2).
+
+Evaluation runs on straight-line code compiled once per polynomial
+(``polynomial_lines``, ``compile_lines``), in storage order over Python
+floats; overflow gives IEEE ``inf``/``nan``, never ``OverflowError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +31,10 @@ Monomial = Tuple[int, ...]
 # polynomial is put in canonical form.  Repeated directional derivatives
 # would otherwise accumulate rounding-noise terms.
 COEFF_EPS = 1e-15
+
+# Terms per emitted statement: a single sum of many thousand terms would
+# exceed the Python compiler's nesting limit.
+_TERMS_PER_LINE = 100
 
 
 def grlex_key(exponents: Sequence[int]) -> tuple:
@@ -47,7 +56,7 @@ def monomial_label(exponents: Monomial) -> str:
 class Polynomial:
     """Immutable sparse polynomial over ``variable_count`` real variables."""
 
-    __slots__ = ("variable_count", "_terms")
+    __slots__ = ("variable_count", "_terms", "_compiled")
 
     def __init__(self, variable_count: int, terms: Mapping[Monomial, float] | None = None):
         if variable_count < 1:
@@ -70,6 +79,11 @@ class Polynomial:
         self._terms: Dict[Monomial, float] = {
             e: c for e, c in merged.items() if abs(c) >= COEFF_EPS
         }
+        self._compiled: Callable[..., Tuple[float]] | None = None
+
+    def __reduce__(self):
+        # The compiled evaluator is rebuilt on demand, never pickled.
+        return (Polynomial, (self.variable_count, self._terms))
 
     # -- constructors ---------------------------------------------------
 
@@ -218,14 +232,12 @@ class Polynomial:
             raise ValueError(
                 f"point has dimension {len(point)}, expected {self.variable_count}"
             )
-        total = 0.0
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    term *= x ** e
-            total += term
-        return total
+        if self._compiled is None:
+            names = [f"x{i}" for i in range(self.variable_count)]
+            self._compiled = compile_lines(
+                names, polynomial_lines(self, names, "value"), ["value"]
+            )
+        return self._compiled(*[float(x) for x in point])[0]
 
     def __call__(self, point: Sequence[float]) -> float:
         return self.evaluate(point)
@@ -261,10 +273,72 @@ class MonomialBasis:
                 f"points have dimension {points.shape[1]}, "
                 f"expected {self.variable_count}"
             )
-        exps = np.array(self.monomials, dtype=float).reshape(
+        return np.prod(points[:, None, :] ** self._exponents[None, :, :], axis=2)
+
+    @cached_property
+    def _exponents(self) -> np.ndarray:
+        """The monomials as a (terms, variable_count) float array."""
+        return np.array(self.monomials, dtype=float).reshape(
             len(self.monomials), self.variable_count
         )
-        return np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
+
+
+def polynomial_lines(
+    poly: Polynomial, names: Sequence[str], target: str
+) -> List[str]:
+    """Python statements that leave ``poly`` evaluated at ``names`` in ``target``.
+
+    The statements apply the operations of a term-by-term loop in the
+    same order, so the result is bit for bit the loop's: ``target`` starts
+    at 0.0 and adds the terms in storage order, each term being its
+    coefficient times ``x_i`` (exponent 1) or ``x_i ** e`` (exponent
+    e > 1) for increasing variable index i.
+    """
+    terms = []
+    for exps, coeff in poly._terms.items():
+        factors = [f"({coeff!r})"]
+        for name, e in zip(names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name} ** {e}")
+        terms.append(" * ".join(factors))
+    lines = []
+    total = "0.0"
+    for start in range(0, len(terms), _TERMS_PER_LINE):
+        chunk = terms[start:start + _TERMS_PER_LINE]
+        lines.append(f"{target} = {total} + " + " + ".join(chunk))
+        total = target
+    return lines or [f"{target} = 0.0"]
+
+
+def compile_lines(
+    params: Sequence[str], lines: Sequence[str], results: Sequence[str]
+) -> Callable[..., Tuple[float, ...]]:
+    """Compile straight-line ``lines`` into a function of ``params``.
+
+    The function runs ``lines`` and returns the tuple of the ``results``
+    expressions.  If a power overflows a Python float (``OverflowError``),
+    it re-runs itself on ``np.float64`` arguments with overflow warnings
+    off, so overflow gives IEEE ``inf``/``nan`` as a float product does.
+    """
+    args = ", ".join(params)
+    body = "".join(f"        {line}\n" for line in lines)
+    source = (
+        f"def compiled({args}):\n"
+        f"    try:\n{body}"
+        f"        return ({', '.join(results)},)\n"
+        f"    except OverflowError:\n"
+        f"        return _in_numpy(compiled, ({args},))\n"
+    )
+    namespace = {"_in_numpy": _in_numpy}
+    exec(compile(source, "<polycast compiled>", "exec"), namespace)
+    return namespace["compiled"]
+
+
+def _in_numpy(fn: Callable[..., Tuple[float, ...]], args: tuple) -> Tuple[float, ...]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(float(v) for v in fn(*[np.float64(a) for a in args]))
 
 
 def format_term_lines(poly: Polynomial) -> str:
@@ -349,7 +423,8 @@ class VectorField:
             raise ValueError(
                 f"state has shape {state.shape}, expected ({self.dimension},)"
             )
-        return np.array([c.evaluate(state) for c in self.components])
+        point = state.tolist()
+        return np.array([c.evaluate(point) for c in self.components])
 
 
 def lie_derivative(field: VectorField, poly: Polynomial) -> Polynomial:

@@ -134,6 +134,43 @@ def eps_from_deltas(deltas):
     return np.array(eps[::-1])
 
 
+def reference_evaluate(poly, point):
+    """Term-by-term evaluation of a Polynomial in storage order.
+
+    This is the loop the compiled evaluator replaces; it must agree with
+    ``Polynomial.evaluate`` bit for bit.
+    """
+    total = 0.0
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for x, e in zip(point, exps):
+            if e:
+                term *= x ** e
+        total += term
+    return total
+
+
+def reference_rk4(field, initial_state, delta_t, steps, substeps=1):
+    """Classical RK4 over numpy arrays with the field evaluated by
+    ``reference_evaluate``; returns the (steps + 1, dimension) states."""
+
+    def f(x):
+        return np.array([reference_evaluate(c, x) for c in field.components])
+
+    x = np.asarray(initial_state, dtype=float)
+    h = delta_t / substeps
+    states = [x]
+    for _ in range(steps):
+        for _ in range(substeps):
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    return np.array(states)
+
+
 def naive_poly_sum(terms, point):
     """Horner-free per-term accumulation oracle for polynomial evaluation."""
     total = 0.0

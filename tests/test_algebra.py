@@ -1,6 +1,8 @@
 """Polynomial representation, monomial enumeration, and vector-field algebra."""
 
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from polycast import (
     MonomialBasis,
     Polynomial,
     VectorField,
+    build_truncated_flow_map,
     enumerate_monomials,
+    flow_step,
     format_term_lines,
     grlex_key,
     lie_derivative,
@@ -19,7 +23,7 @@ from polycast import (
 )
 from polycast.dynamics import LorenzParams
 
-from helpers import naive_poly_sum
+from helpers import naive_poly_sum, reference_evaluate
 
 
 def test_canonical_form_merges_and_drops_zeros():
@@ -111,6 +115,80 @@ def test_evaluate_matches_naive_oracle():
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+def _random_polynomial(rng, max_exponent=5, max_terms=12):
+    n = int(rng.integers(1, 5))
+    terms = {}
+    for _ in range(int(rng.integers(0, max_terms + 1))):
+        exps = tuple(int(e) for e in rng.integers(0, max_exponent + 1, size=n))
+        terms[exps] = float(rng.normal()) * 10.0 ** int(rng.integers(-3, 4))
+    return Polynomial(n, terms)
+
+
+def _same_bits(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+def test_evaluate_matches_reference_loop_bit_for_bit():
+    # The compiled evaluator applies the reference loop's operations in
+    # the same order, so every result is the same double, sign of zero
+    # included, at tuple and array points alike.
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        p = _random_polynomial(rng)
+        n = p.variable_count
+        array_point = rng.uniform(-3.0, 3.0, size=n)
+        for point in (tuple(array_point.tolist()), array_point, [0.0] * n, [-0.0] * n):
+            assert _same_bits(p.evaluate(point), reference_evaluate(p, point))
+
+
+def test_evaluate_long_polynomial_matches_reference():
+    # 10,626 terms: more than one generated statement can hold.
+    basis = enumerate_monomials(4, 20)
+    rng = np.random.default_rng(5)
+    p = Polynomial(4, dict(zip(basis.monomials, rng.normal(size=len(basis)))))
+    point = tuple(rng.uniform(-1.0, 1.0, size=4).tolist())
+    assert len(p) == len(basis)
+    assert _same_bits(p.evaluate(point), reference_evaluate(p, point))
+
+
+def test_pickle_round_trip_after_evaluate():
+    p = Polynomial(2, {(2, 1): 1.5, (0, 0): -2.0})
+    assert p.evaluate((2.0, 3.0)) == 16.0
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p
+    assert q.evaluate((2.0, 3.0)) == 16.0
+
+
+def test_vector_field_evaluate_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    field = lorenz_field(LorenzParams())
+    for _ in range(50):
+        point = rng.uniform(-20.0, 20.0, size=3)
+        got = field.evaluate(point)
+        want = [reference_evaluate(c, point) for c in field.components]
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+def test_overflow_gives_ieee_values_at_every_entry_point():
+    # A Python float power raises OverflowError where numpy returns inf;
+    # every entry point gives the IEEE value, with no exception or warning.
+    square = Polynomial(1, {(2,): 1.0})
+    mixed = VectorField((
+        Polynomial(2, {(2, 0): 1.0, (0, 1): -1.0}),
+        Polynomial(2, {(0, 3): -1.0}),
+    ))
+    fmap = build_truncated_flow_map(lorenz_field(LorenzParams()), 4, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for point in ((1e200,), np.array([1e200]), [-1e200]):
+            assert square.evaluate(point) == math.inf
+        for state in ((1e200, 1e200), np.array([1e200, 1e200])):
+            assert list(mixed.evaluate(state)) == [math.inf, -math.inf]
+        for state in ((1e200,) * 3, np.full(3, 1e200)):
+            assert not np.any(np.isfinite(flow_step(fmap, state)))
+    assert square.evaluate((3.0,)) == 9.0
+
+
 def test_enumerate_monomials_size_formula():
     for n in range(1, 6):
         for d in range(0, 7):
@@ -147,6 +225,9 @@ def test_design_columns():
     points = np.array([[2.0, 3.0], [0.5, -1.0]])
     cols = basis.design_columns(points)
     assert cols.shape == (2, 6)
+    exps = np.array(basis.monomials, dtype=float)
+    assert np.array_equal(cols, np.prod(points[:, None, :] ** exps[None], axis=2))
+    assert np.array_equal(basis.design_columns(points), cols)
     for r, point in enumerate(points):
         for c, exps in enumerate(basis.monomials):
             assert cols[r, c] == pytest.approx(

@@ -20,6 +20,8 @@ from polycast import (
     sample_coordinate,
 )
 
+from helpers import reference_evaluate, reference_rk4
+
 
 def test_lorenz_field_terms():
     field = lorenz_field(LorenzParams(sigma=10.0, r=28.0, b=8.0 / 3.0))
@@ -183,6 +185,61 @@ def test_rk4_blowup_names_recorded_step():
         rk4_integrate(field, (1.0,), 0.1, 20)
     with pytest.raises(BlowupError):
         rk4_integrate(field, (2.0 * BLOWUP_LIMIT,), 0.1, 1)
+    # A power overflowing inside a substep yields inf, caught at the
+    # recorded step rather than escaping as OverflowError.
+    field = VectorField((Polynomial(1, {(40,): 1.0}),))
+    with pytest.raises(BlowupError, match="recorded step 1:"):
+        rk4_integrate(field, (100.0,), 0.1, 5)
+
+
+# (field, initial state, delta_t, steps, substeps); every field with a
+# power above one exercises ``x ** e`` in the generated substep.
+RK4_CASES = {
+    "cubic_1d": (
+        VectorField((Polynomial(1, {(1,): 0.5, (3,): -0.2}),)),
+        (0.3,), 0.05, 40, 3,
+    ),
+    "van_der_pol_2d": (
+        VectorField((
+            Polynomial(2, {(0, 1): 1.0}),
+            Polynomial(2, {(0, 1): 1.5, (2, 1): -1.5, (1, 0): -1.0}),
+        )),
+        (2.0, -0.5), 0.02, 60, 2,
+    ),
+    "lorenz_3d": (
+        lorenz_field(LorenzParams()), DEFAULT_LORENZ_STATE, 0.01, 80, 10,
+    ),
+    "rossler_3d": (
+        VectorField((
+            Polynomial(3, {(0, 1, 0): -1.0, (0, 0, 1): -1.0}),
+            Polynomial(3, {(1, 0, 0): 1.0, (0, 1, 0): 0.2}),
+            Polynomial(3, {(0, 0, 0): 0.2, (1, 0, 1): 1.0, (0, 0, 1): -5.7}),
+        )),
+        (1.0, 1.0, 0.0), 0.05, 50, 4,
+    ),
+    "zero_2d": (
+        VectorField((Polynomial.zero(2), Polynomial.zero(2))),
+        (3.0, -0.0), 0.5, 5, 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RK4_CASES))
+def test_rk4_matches_reference_numpy_rk4_bit_for_bit(case):
+    field, state, dt, steps, substeps = RK4_CASES[case]
+    got = rk4_integrate(field, state, dt, steps, substeps).states
+    want = reference_rk4(field, state, dt, steps, substeps)
+    assert got.shape == want.shape == (steps + 1, field.dimension)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_flow_step_matches_reference_bit_for_bit():
+    fmap = build_truncated_flow_map(lorenz_field(LorenzParams()), 4, 0.01)
+    rng = np.random.default_rng(3)
+    for point in rng.uniform(-25.0, 25.0, size=(200, 3)):
+        got = flow_step(fmap, point)
+        want = np.array([reference_evaluate(c, point) for c in fmap.components])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_rk4_validation():
