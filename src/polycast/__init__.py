@@ -12,11 +12,9 @@ from .algebra import (
     Polynomial,
     VectorField,
     enumerate_monomials,
-    format_term_lines,
     grlex_key,
     lie_derivative,
     monomial_label,
-    parse_term_lines,
 )
 from .bench import (
     FLAG_NEAR_ZERO_ACTUAL,

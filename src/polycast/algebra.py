@@ -262,8 +262,11 @@ class MonomialBasis:
     def design_columns(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every monomial at every point.
 
-        ``points`` has shape (rows, variable_count); the result has shape
-        (rows, len(self)), column j holding monomial j evaluated row-wise.
+        ``points`` has shape (rows, variable_count); the result is a
+        C-ordered (rows, len(self)) array, column j holding monomial j
+        evaluated row-wise.  Each variable is raised to every power up to
+        ``max_degree`` once, and a column is the product of its variables'
+        powers taken in variable order.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
@@ -273,14 +276,21 @@ class MonomialBasis:
                 f"points have dimension {points.shape[1]}, "
                 f"expected {self.variable_count}"
             )
-        return np.prod(points[:, None, :] ** self._exponents[None, :, :], axis=2)
+        powers = points[:, :, None] ** np.arange(self.max_degree + 1, dtype=float)
+        # A gather along the last axis comes out F-ordered; writing into a
+        # C-ordered array keeps the summation order of a later ``@``.
+        columns = np.empty((len(points), len(self.monomials)))
+        columns[...] = powers[:, 0, self._exponents[0]]
+        for i in range(1, self.variable_count):
+            columns *= powers[:, i, self._exponents[i]]
+        return columns
 
     @cached_property
     def _exponents(self) -> np.ndarray:
-        """The monomials as a (terms, variable_count) float array."""
-        return np.array(self.monomials, dtype=float).reshape(
+        """The monomials as a (variable_count, terms) integer index array."""
+        return np.array(self.monomials, dtype=np.intp).reshape(
             len(self.monomials), self.variable_count
-        )
+        ).T
 
 
 def polynomial_lines(
@@ -339,37 +349,6 @@ def compile_lines(
 def _in_numpy(fn: Callable[..., Tuple[float, ...]], args: tuple) -> Tuple[float, ...]:
     with np.errstate(over="ignore", invalid="ignore"):
         return tuple(float(v) for v in fn(*[np.float64(a) for a in args]))
-
-
-def format_term_lines(poly: Polynomial) -> str:
-    """Serialize a polynomial as ``coefficient e1 e2 ... en`` lines.
-
-    One canonical term per line in graded-lexicographic order; the zero
-    polynomial serializes to the empty string.  Coefficients carry 17
-    significant digits so the round trip is exact.
-    """
-    return "".join(
-        format(coeff, ".17g") + " " + " ".join(str(e) for e in exps) + "\n"
-        for exps, coeff in poly.ordered_terms()
-    )
-
-
-def parse_term_lines(text: str, variable_count: int) -> Polynomial:
-    """Inverse of format_term_lines; blank lines are skipped."""
-    terms: Dict[Monomial, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != variable_count + 1:
-            raise ValueError(
-                f"line {lineno}: expected coefficient plus {variable_count} "
-                f"exponents, got {line!r}"
-            )
-        exps = tuple(int(e) for e in parts[1:])
-        terms[exps] = terms.get(exps, 0.0) + float(parts[0])
-    return Polynomial(variable_count, terms)
 
 
 def enumerate_monomials(

@@ -202,7 +202,9 @@ def fit_kfold(
 
     Each fold is held out in turn, the map is fit on the complement, and
     the final coefficients are the arithmetic mean of the per-fold
-    vectors.  With folds=1 this is a single plain least-squares fit.
+    vectors.  With folds=1 this is a single plain least-squares fit.  The
+    design matrix is built once over all usable rows, and each fold solves
+    the subset of its rows that the fold keeps.
     """
     basis = enumerate_monomials(
         space.params.dimension, config.degree, config.include_constant
@@ -214,21 +216,18 @@ def fit_kfold(
             f"coefficients (degree {config.degree}, constant "
             f"{config.include_constant})"
         )
-    if config.folds == 1:
-        matrix, targets = build_design_matrix(
-            space, basis, series, rows, target_lag_offset
-        )
-        return PolynomialMap(basis, fit_least_squares(matrix, targets))
     parts = contiguous_folds(len(rows), config.folds)
+    matrix, targets = build_design_matrix(
+        space, basis, series, rows, target_lag_offset
+    )
+    if config.folds == 1:
+        return PolynomialMap(basis, fit_least_squares(matrix, targets))
     per_fold = []
     for k, part in enumerate(parts):
         keep = np.ones(len(rows), dtype=bool)
         keep[part] = False
-        matrix, targets = build_design_matrix(
-            space, basis, series, rows[keep], target_lag_offset
-        )
         try:
-            per_fold.append(fit_least_squares(matrix, targets))
+            per_fold.append(fit_least_squares(matrix[keep], targets[keep]))
         except FitError as exc:
             raise type(exc)(f"fold {k + 1} of {config.folds}: {exc}") from exc
     return PolynomialMap(basis, np.mean(per_fold, axis=0))

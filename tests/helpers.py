@@ -14,6 +14,13 @@ import math
 
 import numpy as np
 
+from polycast import (
+    FitError,
+    enumerate_monomials,
+    fit_least_squares,
+    usable_point_indices,
+)
+
 # -- worked correction example A: anchor entry 316, forecasting entry 317
 
 GF_A = -0.782644049
@@ -169,6 +176,42 @@ def reference_rk4(field, initial_state, delta_t, steps, substeps=1):
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states.append(x)
     return np.array(states)
+
+
+def reference_design_columns(basis, points):
+    """Every monomial of ``basis`` at every point, as one (rows, terms, m)
+    broadcast power reduced by ``np.prod``; ``MonomialBasis.design_columns``
+    must agree with it bit for bit."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    exps = np.array(basis.monomials, dtype=float).reshape(
+        len(basis.monomials), basis.variable_count
+    )
+    return np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
+
+
+def reference_fit_kfold(series, space, config, target_lag_offset=0):
+    """Fold-averaged coefficients with the design matrix rebuilt from
+    ``reference_design_columns`` for every fold (``config.folds`` >= 2).
+
+    A failing fold raises the same ``FitError`` text as ``fit_kfold``.
+    """
+    basis = enumerate_monomials(
+        space.params.dimension, config.degree, config.include_constant
+    )
+    rows = usable_point_indices(space, series, config.training_range)
+    targets = (
+        rows + space.params.window_span + 1 - target_lag_offset * space.params.lag
+    )
+    per_fold = []
+    for k, part in enumerate(np.array_split(np.arange(len(rows)), config.folds)):
+        keep = np.ones(len(rows), dtype=bool)
+        keep[part] = False
+        matrix = reference_design_columns(basis, space.points[rows[keep]])
+        try:
+            per_fold.append(fit_least_squares(matrix, series.values[targets[keep]]))
+        except FitError as exc:
+            raise type(exc)(f"fold {k + 1} of {config.folds}: {exc}") from exc
+    return np.mean(per_fold, axis=0)
 
 
 def naive_poly_sum(terms, point):

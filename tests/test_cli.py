@@ -127,6 +127,12 @@ def test_fit_rank_deficiency_is_numerical_failure(tmp_path, capsys):
     assert "rank deficient" in capsys.readouterr().err
 
 
+def test_fit_degree_7_refusal_names_the_fold(capsys):
+    assert main(["fit", "--set", "fit.degree=7"]) == EXIT_NUMERICAL
+    assert ("fold 1 of 10: 114 rows cannot determine 119 coefficients"
+            in capsys.readouterr().err)
+
+
 def _fit_default(tmp_path):
     assert main(["fit"]) == EXIT_OK
 

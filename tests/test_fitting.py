@@ -1,11 +1,14 @@
 """Least-squares forecast-map fitting and fold averaging."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from polycast import (
     EmbeddingParams,
     FitConfig,
+    FitError,
     PolynomialMap,
     RankDeficiencyError,
     TimeSeries,
@@ -15,12 +18,18 @@ from polycast import (
     enumerate_monomials,
     fit_kfold,
     fit_least_squares,
+    lorenz_series,
     reconstruct,
     usable_point_indices,
 )
 
 from conftest import TRAIN_RANGE
-from helpers import MAP9_A_TERMS, MAP9_B_TERMS, quadratic_delay_series
+from helpers import (
+    MAP9_A_TERMS,
+    MAP9_B_TERMS,
+    quadratic_delay_series,
+    reference_fit_kfold,
+)
 
 
 def _map_from_terms(terms):
@@ -185,20 +194,32 @@ def test_fit_recovers_exact_quadratic_map_any_fold_count():
             assert coeff == pytest.approx(terms.get(mono, 0.0), abs=1e-8)
 
 
-def test_fit_kfold_matches_naive_average(default_series, default_space, default_map):
-    basis = enumerate_monomials(3, 2, False)
-    rows = usable_point_indices(default_space, default_series, TRAIN_RANGE)
-    parts = np.array_split(np.arange(len(rows)), 10)
-    per_fold = []
-    for part in parts:
-        keep = np.ones(len(rows), dtype=bool)
-        keep[part] = False
-        matrix, targets = build_design_matrix(
-            default_space, basis, default_series, rows[keep]
-        )
-        per_fold.append(np.linalg.lstsq(matrix, targets, rcond=None)[0])
-    assert np.allclose(default_map.coefficients, np.mean(per_fold, axis=0),
-                       rtol=0, atol=1e-12)
+def test_fit_kfold_matches_naive_average(default_series, default_space,
+                                         default_map):
+    # the per-fold rebuild agrees bit for bit, refusals included
+    config = FitConfig(degree=2, include_constant=False, folds=10,
+                       training_range=TRAIN_RANGE)
+    assert np.array_equal(
+        default_map.coefficients,
+        reference_fit_kfold(default_series, default_space, config),
+    )
+    series = lorenz_series(samples=1500)
+    space = reconstruct(series, default_space.params)
+    for degree, constant, length in itertools.product(
+        range(1, 7), (False, True), (300, 1400)
+    ):
+        config = FitConfig(degree=degree, include_constant=constant, folds=10,
+                           training_range=(0, length))
+        for offset in range(3):
+            try:
+                want = reference_fit_kfold(series, space, config, offset)
+            except FitError as exc:
+                with pytest.raises(type(exc)) as info:
+                    fit_kfold(series, space, config, offset)
+                assert str(info.value) == str(exc)
+                continue
+            got = fit_kfold(series, space, config, offset).coefficients
+            assert np.array_equal(got, want)
 
 
 def test_fit_kfold_single_fold_is_plain_fit(default_series, default_space):
