@@ -10,7 +10,7 @@ extends that far) is that next entry's true value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -38,13 +38,14 @@ def percentage_error(actual: float, forecast: float) -> float:
     return 100.0 * abs((actual - forecast) / actual)
 
 
-@dataclass(frozen=True)
-class ForecastRecord:
+class ForecastRecord(NamedTuple):
     """One forecast of the entry after ``entry``, raw and corrected.
 
     ``k_star`` is None when no correction was applied (perfect error
     window or no plateau found); ``actual`` and both errors are None when
-    the forecast target lies beyond the series end.
+    the forecast target lies beyond the series end.  Records are named
+    tuples: immutable, hashable, and equal to the plain tuple of their
+    fields.
     """
 
     entry: int
@@ -55,6 +56,16 @@ class ForecastRecord:
     gf_error_pct: float | None = None
     igf_error_pct: float | None = None
     flags: frozenset = frozenset()
+
+
+# A record's flags by bit code: 1 no correction needed, 2 no plateau,
+# 4 near-zero actual.  Each set is built in that order, so equal sets
+# also print alike.
+_FLAG_ORDER = (FLAG_NO_CORRECTION_NEEDED, FLAG_NO_PLATEAU, FLAG_NEAR_ZERO_ACTUAL)
+_FLAG_SETS = tuple(
+    frozenset(flag for bit, flag in enumerate(_FLAG_ORDER) if code >> bit & 1)
+    for code in range(8)
+)
 
 
 def error_window(
@@ -94,11 +105,13 @@ def _forecast_batch(
     """Raw and corrected forecasts at every anchor point in ``points``.
 
     The map is evaluated once over the block of points the error windows
-    cover.  The last n_cap + 1 errors of each window are differenced
-    row-wise, one order at a time, until every anchor has its plateau
-    order k*: the smallest k with |Delta^k eps| <= |Delta^(k+1) eps|.
-    The IGF forecast adds the anchor deltas of orders 0..k* to the GF
-    forecast in order, as corrected_forecast does.
+    cover, giving one error block.  That block is differenced as a whole,
+    one order at a time, and each anchor reads its delta of order k at
+    its own position, until every anchor has its plateau order k*: the
+    smallest k with |Delta^k eps| <= |Delta^(k+1) eps|.  A delta depends
+    only on the errors it spans, so it is the same whichever window
+    holds it.  The IGF forecast adds the anchor deltas of orders 0..k* to
+    the GF forecast in order, as corrected_forecast does.
     """
     if not 1 <= n_cap <= window:
         raise ValueError(f"n_cap {n_cap} must lie in 1..window {window}")
@@ -114,30 +127,48 @@ def _forecast_batch(
             f"{window} and a forecast point inside the series"
         )
     # Point r forecasts series index r + span + 1.  Each anchor's window
-    # holds the errors of points anchor - window .. anchor.
+    # holds the errors of points anchor - window .. anchor, which sit at
+    # errors[at - window : at + 1].
     lo = first - window
     errors = series.values[lo + span + 1 : last + span + 2] - fmap.predict_many(
         space.points[lo : last + 1]
     )
-    eps = errors[(points - first)[:, None] + np.arange(window + 1)]
+    at = points - lo
     gf = fmap.predict_many(space.points[points + 1])
-    if not np.isfinite(eps).all():
-        bad = entries[~np.isfinite(eps).all(axis=1)][0]
-        raise ValueError(
-            f"epsilon window at anchor {bad} contains non-finite values"
-        )
+    finite = np.isfinite(errors)
+    if not finite.all():
+        bad_before = np.concatenate(([0], np.cumsum(~finite)))
+        bad_window = bad_before[at + 1] > bad_before[at - window]
+        if bad_window.any():
+            raise ValueError(
+                f"epsilon window at anchor {entries[bad_window][0]} contains "
+                f"non-finite values"
+            )
+        # Outside every window: never read, but would spread through the
+        # differencing below.
+        errors = np.where(finite, errors, 0.0)
 
-    perfect = (eps == 0.0).all(axis=1)
-    diffs = eps[:, -(n_cap + 1) :]
-    deltas = [diffs[:, -1]]
+    # After k passes, diffs[j] is Delta^k ending at errors[start + k + j].
+    start = window - n_cap
+    diffs = errors[start:]
+    rows = (at - start) - np.arange(n_cap + 1)[:, None]
+    deltas = [diffs[rows[0]]]
     mags = [np.abs(deltas[0])]
+    # Only an anchor whose own error is exactly 0 can have a perfect
+    # window.  (np.count_nonzero costs a fraction of ndarray.any() on the
+    # small arrays a single forecast has.)
+    if np.count_nonzero(deltas[0]) < len(points):
+        nonzero_before = np.concatenate(([0], np.cumsum(errors != 0.0)))
+        perfect = nonzero_before[at + 1] == nonzero_before[at - window]
+    else:
+        perfect = np.zeros(len(points), dtype=bool)
     searching = ~perfect  # magnitudes still falling
-    for _ in range(n_cap):
-        diffs = diffs[:, 1:] - diffs[:, :-1]
-        deltas.append(diffs[:, -1])
+    for k in range(1, n_cap + 1):
+        diffs = diffs[1:] - diffs[:-1]
+        deltas.append(diffs[rows[k]])
         mags.append(np.abs(deltas[-1]))
         searching[mags[-2] <= mags[-1]] = False
-        if not searching.any():
+        if not np.count_nonzero(searching):
             break
     if searching.any() and not fallback_on_no_plateau:
         raise NoPlateauError(
@@ -146,43 +177,32 @@ def _forecast_batch(
             f"(cap {n_cap})"
         )
     mags = np.array(mags)
-    k_star = np.where(
-        perfect | searching, -1, (mags[:-1] <= mags[1:]).argmax(axis=0)
-    )
+    codes = perfect + 2 * searching  # flag bits, as in _FLAG_SETS
+    k_star = np.where(codes, -1, (mags[:-1] <= mags[1:]).argmax(axis=0))
     # Row j of the running sums is gf + Delta^0 + ... + Delta^(j-1), so
     # row k* + 1 is the IGF forecast and row 0 (k* = -1) is gf.
     sums = np.cumsum(np.array([gf] + deltas), axis=0)
     igf = sums[k_star + 1, np.arange(len(points))]
 
+    # The forecast target's 0-based index is the anchor's entry.
+    n = len(series)
+    actuals = series.values[np.minimum(entries, n - 1)]
     records = []
-    for entry, gf_i, igf_i, k, is_perfect, no_plateau in zip(
+    for entry, gf_i, igf_i, k, code, actual in zip(
         entries.tolist(), gf.tolist(), igf.tolist(), k_star.tolist(),
-        perfect.tolist(), searching.tolist(),
+        codes.tolist(), actuals.tolist(),
     ):
-        flags = set()
-        if is_perfect:
-            flags.add(FLAG_NO_CORRECTION_NEEDED)
-        elif no_plateau:
-            flags.add(FLAG_NO_PLATEAU)
-        actual = gf_err = igf_err = None
-        if entry < len(series):  # the forecast target's 0-based index
-            actual = float(series.values[entry])
+        if entry < n:
             if abs(actual) < NEAR_ZERO_THRESHOLD:
-                flags.add(FLAG_NEAR_ZERO_ACTUAL)
+                code |= 4
             gf_err = percentage_error(actual, gf_i)
             igf_err = percentage_error(actual, igf_i)
-        records.append(
-            ForecastRecord(
-                entry=entry,
-                gf_forecast=gf_i,
-                igf_forecast=igf_i,
-                k_star=None if k < 0 else k,
-                actual=actual,
-                gf_error_pct=gf_err,
-                igf_error_pct=igf_err,
-                flags=frozenset(flags),
-            )
-        )
+        else:
+            actual = gf_err = igf_err = None
+        records.append(ForecastRecord(
+            entry, gf_i, igf_i, None if k < 0 else k, actual, gf_err, igf_err,
+            _FLAG_SETS[code],
+        ))
     return tuple(records)
 
 

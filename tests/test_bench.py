@@ -1,6 +1,7 @@
 """Forecast records, surveys, and error metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,12 +295,10 @@ def _valid_points(space, window=40):
     return range(window, space.point_count - 1)
 
 
-def test_survey_matches_per_anchor_reference(pipeline):
-    series, space, fmap = pipeline
+def _assert_survey_matches_reference(fmap, series, space, points):
     span = space.params.window_span
-    points = _valid_points(space)
     report = survey(fmap, series, space, [p + span + 2 for p in points])
-    assert len(report.records) == len(points) == 547
+    assert len(report.records) == len(points)
     for point, rec in zip(points, report.records):
         gf, igf, k_star, flags = _reference_forecast(fmap, series, space, point)
         assert rec.entry == point + span + 2
@@ -307,6 +306,41 @@ def test_survey_matches_per_anchor_reference(pipeline):
         assert rec.flags == flags
         assert rec.gf_forecast == pytest.approx(gf, rel=1e-12)
         assert rec.igf_forecast == pytest.approx(igf, rel=1e-12)
+    return report
+
+
+def test_survey_matches_per_anchor_reference(pipeline):
+    series, space, fmap = pipeline
+    points = list(_valid_points(space))
+    assert len(points) == 547
+    # contiguous; farther apart than the window; reversed; duplicated
+    for layout in (
+        points,
+        points[::43],
+        points[::-1],
+        points[200:260] + points[230:250] + points[::97],
+    ):
+        _assert_survey_matches_reference(fmap, series, space, layout)
+
+    # One batch mixing perfect windows (inside the first constant stretch)
+    # with imperfect ones.  Once the ramp levels off again, an anchor's own
+    # error is 0 while its window still holds the ramp's errors.
+    ramp = 2.0 + np.arange(1, 61) ** 1.5
+    values = np.concatenate([np.full(100, 2.0), ramp, np.full(40, ramp[-1])])
+    series = TimeSeries(values)
+    space = reconstruct(series, EmbeddingParams(6, 3))
+    report = _assert_survey_matches_reference(
+        _identity_forecaster(), series, space, list(_valid_points(space))
+    )
+    perfect = [rec for rec in report.records if rec.entry <= 100]
+    assert perfect and len(perfect) < len(report.records)
+    assert report.records[-1].k_star is not None
+    for rec in report.records:
+        if rec.entry <= 100:
+            assert rec.k_star is None
+            assert rec.flags == {FLAG_NO_CORRECTION_NEEDED}
+        else:
+            assert FLAG_NO_CORRECTION_NEEDED not in rec.flags
 
 
 def test_forecast_improved_is_bit_identical_to_reference(pipeline):
@@ -370,6 +404,49 @@ def test_non_finite_error_window_is_rejected():
             forecast_improved(fmap, series, space, 60)
         with pytest.raises(ValueError, match="non-finite"):
             survey(fmap, series, space, (60, 74, 90))
+
+
+def test_non_finite_error_outside_every_window_is_ignored(pipeline):
+    # A spike of 1e200 overflows the degree-2 map to inf at the points that
+    # hold it.  Anchors 100 and 320 are more than a window apart, and the
+    # spike's errors lie between their windows, so neither reads them.
+    series, space, fmap = pipeline
+    values = series.values.copy()
+    values[200] = 1e200
+    s_series = TimeSeries(values)
+    s_space = reconstruct(s_series, space.params)
+    span = space.params.window_span
+    # the map's own overflow warns as it always has; any other warning fails
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = survey(fmap, s_series, s_space, (100, 320))
+        reference = [
+            _reference_forecast(fmap, s_series, s_space, entry - span - 2)
+            for entry in (100, 320)
+        ]
+        with pytest.raises(ValueError, match="at anchor 210 contains non-finite"):
+            survey(fmap, s_series, s_space, (100, 210, 320))
+    for rec, (gf, igf, k_star, flags) in zip(report.records, reference):
+        assert (rec.k_star, rec.flags) == (k_star, flags)
+        assert k_star is not None
+        assert rec.gf_forecast == pytest.approx(gf, rel=1e-12)
+        assert rec.igf_forecast == pytest.approx(igf, rel=1e-12)
+
+
+def test_forecast_record_is_an_immutable_named_tuple():
+    rec = ForecastRecord(entry=330, gf_forecast=1.5, igf_forecast=1.25, k_star=2)
+    assert (rec.actual, rec.gf_error_pct, rec.igf_error_pct) == (None,) * 3
+    assert rec.flags == frozenset()
+    with pytest.raises(AttributeError):
+        rec.k_star = 3
+    twin = ForecastRecord(330, 1.5, 1.25, 2)
+    assert hash(rec) == hash(twin) and len({rec, twin}) == 1
+    assert rec == (330, 1.5, 1.25, 2, None, None, None, frozenset())
+    assert repr(rec) == (
+        "ForecastRecord(entry=330, gf_forecast=1.5, igf_forecast=1.25, "
+        "k_star=2, actual=None, gf_error_pct=None, igf_error_pct=None, "
+        "flags=frozenset())"
+    )
 
 
 def test_survey_empty_entries(pipeline):
