@@ -16,7 +16,7 @@ from .algebra import (
     lie_derivative,
     monomial_label,
 )
-from .bench import (
+from .evaluate import (
     FLAG_NEAR_ZERO_ACTUAL,
     FLAG_NO_CORRECTION_NEEDED,
     FLAG_NO_PLATEAU,

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import monomial_label
-from .bench import equally_spaced, error_window, forecast_improved, survey
+from .evaluate import equally_spaced, error_window, forecast_improved, survey
 from .config import RunConfig, load_config
 from .correction import DifferenceTable, NoPlateauError
 from .dynamics import BlowupError, LorenzParams, lorenz_series
@@ -199,13 +199,10 @@ def cmd_forecast(config: RunConfig, args: argparse.Namespace) -> int:
     space = _embed(config, series)
     fmap = _load_map(config)
     entry = config.forecast_entry
-    span = space.params.window_span
-    point = entry - span - 2
-    if point < 0 or point + 1 >= space.point_count:
-        raise ValueError(
-            f"anchor entry {entry} is out of range for this embedding "
-            f"(valid anchors: {span + 2}..{len(series) + 1})"
-        )
+    point = entry - space.params.window_span - 2
+    record = forecast_improved(
+        fmap, series, space, point, window=config.window, n_cap=config.n_cap
+    )
     _, train_stop = _training_range(config, series)
     if entry <= train_stop:
         print(
@@ -213,11 +210,8 @@ def cmd_forecast(config: RunConfig, args: argparse.Namespace) -> int:
             f"(in-sample forecast)",
             file=sys.stderr,
         )
-    record = forecast_improved(
-        fmap, series, space, point, window=config.window, n_cap=config.n_cap
-    )
     actuals, forecasts = error_window(fmap, series, space, point, config.window)
-    table = DifferenceTable(actuals - forecasts, anchor=record.entry)
+    table = DifferenceTable(actuals - forecasts)
     magnitudes = table.magnitudes(min(config.n_cap, table.window))
     pio.write_delta_table_csv(config.resolved_delta_table_file, magnitudes)
     print(f"anchor entry {entry} (forecasting entry {entry + 1})")

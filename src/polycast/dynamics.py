@@ -113,13 +113,7 @@ def build_truncated_flow_map(
 
 def flow_step(fmap: TruncatedFlowMap, state: Sequence[float]) -> np.ndarray:
     """Advance ``state`` by one step of the truncated flow map."""
-    state = np.asarray(state, dtype=float)
-    if state.shape != (fmap.dimension,):
-        raise ValueError(
-            f"state has shape {state.shape}, expected ({fmap.dimension},)"
-        )
-    point = state.tolist()
-    return np.array([c.evaluate(point) for c in fmap.components])
+    return VectorField(fmap.components).evaluate(state)
 
 
 @dataclass(frozen=True, eq=False)

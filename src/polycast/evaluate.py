@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .correction import NoPlateauError
+from .correction import NoPlateauError, correct_block
 from .embedding import PhaseSpace, TimeSeries
 from .fitting import PolynomialMap
 
@@ -58,9 +58,9 @@ class ForecastRecord(NamedTuple):
     flags: frozenset = frozenset()
 
 
-# A record's flags by bit code: 1 no correction needed, 2 no plateau,
-# 4 near-zero actual.  Each set is built in that order, so equal sets
-# also print alike.
+# A record's flags by bit code: 1 no correction needed, 2 no plateau
+# (correct_block's codes), 4 near-zero actual.  Each set is built in that
+# order, so equal sets also print alike.
 _FLAG_ORDER = (FLAG_NO_CORRECTION_NEEDED, FLAG_NO_PLATEAU, FLAG_NEAR_ZERO_ACTUAL)
 _FLAG_SETS = tuple(
     frozenset(flag for bit, flag in enumerate(_FLAG_ORDER) if code >> bit & 1)
@@ -105,13 +105,8 @@ def _forecast_batch(
     """Raw and corrected forecasts at every anchor point in ``points``.
 
     The map is evaluated once over the block of points the error windows
-    cover, giving one error block.  That block is differenced as a whole,
-    one order at a time, and each anchor reads its delta of order k at
-    its own position, until every anchor has its plateau order k*: the
-    smallest k with |Delta^k eps| <= |Delta^(k+1) eps|.  A delta depends
-    only on the errors it spans, so it is the same whichever window
-    holds it.  The IGF forecast adds the anchor deltas of orders 0..k* to
-    the GF forecast in order, as corrected_forecast does.
+    cover, giving one error block, which correct_block turns into the
+    IGF forecasts of every anchor.
     """
     if not 1 <= n_cap <= window:
         raise ValueError(f"n_cap {n_cap} must lie in 1..window {window}")
@@ -124,7 +119,8 @@ def _forecast_batch(
         bad = entries[(points < window) | (points >= space.point_count - 1)][0]
         raise ValueError(
             f"anchor entry {bad} does not admit a correction window of size "
-            f"{window} and a forecast point inside the series"
+            f"{window} and a forecast point inside the series (valid anchors: "
+            f"{window + span + 2}..{space.point_count + span})"
         )
     # Point r forecasts series index r + span + 1.  Each anchor's window
     # holds the errors of points anchor - window .. anchor, which sit at
@@ -145,52 +141,24 @@ def _forecast_batch(
                 f"non-finite values"
             )
         # Outside every window: never read, but would spread through the
-        # differencing below.
+        # differencing.
         errors = np.where(finite, errors, 0.0)
-
-    # After k passes, diffs[j] is Delta^k ending at errors[start + k + j].
-    start = window - n_cap
-    diffs = errors[start:]
-    rows = (at - start) - np.arange(n_cap + 1)[:, None]
-    deltas = [diffs[rows[0]]]
-    mags = [np.abs(deltas[0])]
-    # Only an anchor whose own error is exactly 0 can have a perfect
-    # window.  (np.count_nonzero costs a fraction of ndarray.any() on the
-    # small arrays a single forecast has.)
-    if np.count_nonzero(deltas[0]) < len(points):
-        nonzero_before = np.concatenate(([0], np.cumsum(errors != 0.0)))
-        perfect = nonzero_before[at + 1] == nonzero_before[at - window]
-    else:
-        perfect = np.zeros(len(points), dtype=bool)
-    searching = ~perfect  # magnitudes still falling
-    for k in range(1, n_cap + 1):
-        diffs = diffs[1:] - diffs[:-1]
-        deltas.append(diffs[rows[k]])
-        mags.append(np.abs(deltas[-1]))
-        searching[mags[-2] <= mags[-1]] = False
-        if not np.count_nonzero(searching):
-            break
-    if searching.any() and not fallback_on_no_plateau:
+    igf, k_star, codes = correct_block(gf, errors, at, window, n_cap)
+    codes = codes.tolist()
+    if not fallback_on_no_plateau and 2 in codes:
         raise NoPlateauError(
-            f"no plateau at anchor {entries[searching][0]}: magnitudes fall "
+            f"no plateau at anchor {entries[codes.index(2)]}: magnitudes fall "
             f"through order {n_cap} without |Delta^k| <= |Delta^(k+1)| "
             f"(cap {n_cap})"
         )
-    mags = np.array(mags)
-    codes = perfect + 2 * searching  # flag bits, as in _FLAG_SETS
-    k_star = np.where(codes, -1, (mags[:-1] <= mags[1:]).argmax(axis=0))
-    # Row j of the running sums is gf + Delta^0 + ... + Delta^(j-1), so
-    # row k* + 1 is the IGF forecast and row 0 (k* = -1) is gf.
-    sums = np.cumsum(np.array([gf] + deltas), axis=0)
-    igf = sums[k_star + 1, np.arange(len(points))]
 
     # The forecast target's 0-based index is the anchor's entry.
     n = len(series)
     actuals = series.values[np.minimum(entries, n - 1)]
     records = []
     for entry, gf_i, igf_i, k, code, actual in zip(
-        entries.tolist(), gf.tolist(), igf.tolist(), k_star.tolist(),
-        codes.tolist(), actuals.tolist(),
+        entries.tolist(), gf.tolist(), igf.tolist(), k_star.tolist(), codes,
+        actuals.tolist(),
     ):
         if entry < n:
             if abs(actual) < NEAR_ZERO_THRESHOLD:

@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .algebra import enumerate_monomials, grlex_key
-from .bench import ForecastRecord, SurveyReport
+from .evaluate import ForecastRecord, SurveyReport
 from .dynamics import Trajectory
 from .embedding import PhaseSpace, TimeSeries
 from .fitting import PolynomialMap
@@ -126,13 +126,13 @@ def write_log_ratio_csv(path, report: SurveyReport) -> None:
             writer.writerow([point.entry, _fmt(point.value)])
 
 
-def write_delta_table_csv(path, magnitudes: Sequence[float], first_k: int = 0) -> None:
-    """Write the |Delta^k eps| column used for correction diagnostics."""
+def write_delta_table_csv(path, magnitudes: Sequence[float]) -> None:
+    """Write the |Delta^k eps| column, k from 0, for correction diagnostics."""
     with _open_out(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "abs_delta_k"])
-        for i, mag in enumerate(magnitudes):
-            writer.writerow([first_k + i, _fmt(mag)])
+        for k, mag in enumerate(magnitudes):
+            writer.writerow([k, _fmt(mag)])
 
 
 def save_map(path, fmap: PolynomialMap) -> None:

@@ -193,7 +193,7 @@ def test_no_plateau_fallback_flag():
     fmap = PolynomialMap(
         enumerate_monomials(3, 1, include_constant=False), np.zeros(3)
     )
-    with pytest.raises(NoPlateauError):
+    with pytest.raises(NoPlateauError, match="anchor 66"):
         forecast_improved(fmap, series, space, point)
     rec = forecast_improved(
         fmap, series, space, point, fallback_on_no_plateau=True
@@ -279,7 +279,7 @@ def _reference_forecast(fmap, series, space, point, window=40, n_cap=30):
     if np.all(eps == 0.0):
         flags.add(FLAG_NO_CORRECTION_NEEDED)
     else:
-        table = DifferenceTable(eps, anchor=entry)
+        table = DifferenceTable(eps)
         try:
             k_star = find_plateau(table.magnitudes(n_cap), n_cap=n_cap).k_star
         except NoPlateauError:

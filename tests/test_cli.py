@@ -178,10 +178,17 @@ def test_forecast_requires_entry(tmp_path, capsys):
 
 
 def test_forecast_entry_out_of_range(tmp_path, capsys):
+    # window 40 and span 12 on 600 entries: anchors 54..600 are valid
     _fit_default(tmp_path)
     capsys.readouterr()
-    assert main(["forecast", "--entry", "9000"]) == EXIT_IO
-    assert "valid anchors" in capsys.readouterr().err
+    for entry in (9000, 601, 53, 20):
+        assert main(["forecast", "--entry", str(entry)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "valid anchors: 54..600" in err
+        assert "in-sample" not in err
+    for entry in (54, 600):
+        assert main(["forecast", "--entry", str(entry)]) == EXIT_OK
+        capsys.readouterr()
 
 
 def test_forecast_missing_map(tmp_path, capsys):

@@ -9,6 +9,7 @@ from polycast import (
     corrected_forecast,
     find_plateau,
 )
+from polycast.correction import correct_block
 
 from helpers import (
     ACTUAL_B,
@@ -63,10 +64,8 @@ def test_table_validation():
 
 
 def test_table_keeps_anchor_and_epsilon():
-    table = DifferenceTable(np.arange(5.0), anchor=316)
-    assert table.anchor == 316
+    table = DifferenceTable(np.arange(5.0))
     assert np.array_equal(table.epsilon, np.arange(5.0))
-    assert DifferenceTable(np.ones(3)).anchor is None
     # orders past the window size do not exist
     with pytest.raises(ValueError):
         DifferenceTable(np.ones(3)).magnitudes(3)
@@ -157,21 +156,7 @@ def test_no_plateau_on_strictly_decreasing():
         find_plateau(mags, n_cap=30)
 
 
-def test_no_plateau_mentions_anchor():
-    # eps(P-j) = 2^-j differences to anchor deltas of exactly 2^-k, which
-    # fall forever
-    eps = 2.0 ** -np.arange(30, -1, -1)
-    table = DifferenceTable(eps, anchor=316)
-    with pytest.raises(NoPlateauError, match="316"):
-        find_plateau(table, n_cap=8)
-
-
 def test_find_plateau_validation():
-    table = DifferenceTable(np.random.default_rng(2).normal(size=10))
-    with pytest.raises(ValueError, match="window"):
-        find_plateau(table, n_cap=30)
-    with pytest.raises(ValueError):
-        find_plateau(table, n_cap=9, first_k=1)
     with pytest.raises(ValueError):
         find_plateau(())
     with pytest.raises(ValueError):
@@ -180,18 +165,9 @@ def test_find_plateau_validation():
         find_plateau((1.0, 2.0), n_cap=0)
 
 
-def test_find_plateau_on_table_matches_magnitude_path():
-    rng = np.random.default_rng(3)
-    eps = rng.normal(size=41) * 1e-3
-    table = DifferenceTable(eps)
-    from_table = find_plateau(table, n_cap=30)
-    from_mags = find_plateau(tuple(table.magnitudes(30)), n_cap=30)
-    assert from_table.k_star == from_mags.k_star
-
-
 def test_all_zero_window_plateaus_at_zero():
     table = DifferenceTable(np.zeros(31))
-    result = find_plateau(table)
+    result = find_plateau(table.magnitudes(30))
     assert result.k_star == 0
     assert corrected_forecast(4.25, table, result.k_star) == 4.25
 
@@ -200,7 +176,7 @@ def test_constant_bias_corrected_exactly():
     # eps identically c: row 1 is all zero, so the plateau sits at k = 1
     # and the correction adds back exactly c.
     table = DifferenceTable(np.full(31, 0.37))
-    result = find_plateau(table)
+    result = find_plateau(table.magnitudes(30))
     assert result.k_star == 1
     assert corrected_forecast(10.0, table, result.k_star) == pytest.approx(
         10.37, abs=1e-12
@@ -248,3 +224,68 @@ def test_partial_sums_telescope_to_next_error():
             assert partial + residual == pytest.approx(
                 e[-1], rel=1e-11, abs=1e-11
             )
+
+
+def _reference_block(gf, errors, ends, window, n_cap):
+    """(igf, k*, code) per anchor, each from its own DifferenceTable."""
+    out = []
+    for g, end in zip(gf, ends):
+        table = DifferenceTable(errors[end - window : end + 1])
+        if not table.epsilon.any():
+            out.append((g, -1, 1))
+            continue
+        try:
+            k = find_plateau(table.magnitudes(n_cap), n_cap=n_cap).k_star
+        except NoPlateauError:
+            out.append((g, -1, 2))
+        else:
+            out.append((corrected_forecast(g, table, k), k, 0))
+    return out
+
+
+def _assert_block_matches_reference(rng, errors, ends, window, n_cap):
+    gf = rng.normal(size=len(ends))
+    igf, k_star, codes = correct_block(gf, errors, ends, window, n_cap)
+    expected = _reference_block(gf, errors, ends, window, n_cap)
+    assert list(zip(igf.tolist(), k_star.tolist(), codes.tolist())) == expected
+    return k_star, codes
+
+
+def test_correct_block_matches_per_anchor_reference():
+    rng = np.random.default_rng(11)
+    # random blocks: rough errors plateau early, smooth ones late
+    for _ in range(40):
+        window = int(rng.integers(2, 41))
+        n_cap = int(rng.integers(1, window + 1))
+        t = np.arange(int(rng.integers(window + 1, 200)))
+        errors = rng.normal(size=len(t)) * 10.0 ** rng.integers(-12, 1)
+        if rng.random() < 0.5:
+            errors = 1e-3 * np.sin(0.05 * t + rng.random()) + errors * 1e-9
+        ends = rng.integers(window, len(t), size=int(rng.integers(1, 60)))
+        _assert_block_matches_reference(rng, errors, ends, window, n_cap)
+
+    # planted windows, each ending at a known position of one block
+    window, n_cap = 12, 10
+    pieces = [
+        rng.normal(size=window + 3),
+        # ties |Delta^1| = |Delta^2| and |Delta^2| = |Delta^3| stop the search
+        eps_from_deltas([5.0, 3.0, -3.0, 1.0] + [7.0] * (window - 3)),
+        eps_from_deltas([8.0, -4.0, 2.0, 2.0] + [1.0] * (window - 3)),
+        # a zero stretch longer than the window, then one shorter
+        np.zeros(window + 4),
+        rng.normal(size=3),
+        np.zeros(5),
+        # anchor deltas of exactly 2^-k: no plateau below any cap
+        2.0 ** -np.arange(window, -1, -1),
+        rng.normal(size=4),
+    ]
+    errors = np.concatenate(pieces)
+    last = np.cumsum([len(p) for p in pieces]) - 1
+    zeros = last[3]
+    planted = [last[1], last[2], zeros - 2, zeros, zeros + 1, last[5], last[6]]
+    ends = np.concatenate((planted, planted[::-1], rng.integers(window, len(errors), 30)))
+    k_star, codes = _assert_block_matches_reference(rng, errors, ends, window, n_cap)
+    assert k_star[:2].tolist() == [1, 2]
+    # perfect windows inside the long stretch; the anchor just past it;
+    # the short stretch's last error is 0 but its window is not all 0
+    assert codes[2:7].tolist() == [1, 1, 0, 0, 2]

@@ -142,12 +142,10 @@ def test_log_ratio_csv(tmp_path):
 
 def test_delta_table_csv(tmp_path):
     path = tmp_path / "delta.csv"
-    write_delta_table_csv(path, [4.0, 2.0, 1.0], first_k=0)
+    write_delta_table_csv(path, [4.0, 2.0, 1.0])
     assert path.read_text().splitlines() == [
         "k,abs_delta_k", "0,4", "1,2", "2,1",
     ]
-    write_delta_table_csv(path, [2.0], first_k=1)
-    assert path.read_text().splitlines()[1] == "1,2"
 
 
 def test_map_round_trip_bitwise(tmp_path, default_map):
