@@ -58,7 +58,6 @@ from .embedding import (
     EmbeddingParams,
     PhaseSpace,
     TimeSeries,
-    forecast_target_index,
     reconstruct,
 )
 from .fitting import (
@@ -83,7 +82,6 @@ from .io import (
     write_phase_space_csv,
     write_report_csv,
     write_series_csv,
-    write_trajectory_csv,
 )
 
 __version__ = "0.1.0"

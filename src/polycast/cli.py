@@ -176,8 +176,8 @@ def cmd_fit(config: RunConfig, args: argparse.Namespace) -> int:
         fmap = fit_kfold(series, space, fit_config, target_lag_offset=offset)
         path = config.resolved_map_file
         if offset:
-            stem, dot, ext = path.rpartition(".")
-            path = f"{stem}_lag{offset}{dot}{ext}" if dot else f"{path}_lag{offset}"
+            root, ext = os.path.splitext(path)
+            path = f"{root}_lag{offset}{ext}"
         pio.save_map(path, fmap)
         total += len(fmap.basis)
         label = "next entry" if offset == 0 else f"next entry - {offset} lag(s)"

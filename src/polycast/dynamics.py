@@ -44,11 +44,6 @@ class LorenzParams:
     r: float = 28.0
     b: float = 8.0 / 3.0
 
-    @property
-    def is_chaotic(self) -> bool:
-        """True in the classic chaotic regime r > 24.74 (sigma=10, b=8/3)."""
-        return self.r > 24.74
-
 
 #: Initial state used by the bundled Lorenz generator defaults.
 DEFAULT_LORENZ_STATE = (-0.3336666667, -0.3336666667, 21.9996666667)
@@ -86,10 +81,6 @@ class TruncatedFlowMap:
     @property
     def total_degree(self) -> int:
         return max(c.total_degree for c in self.components)
-
-    @property
-    def coefficient_count(self) -> int:
-        return sum(len(c) for c in self.components)
 
 
 def build_truncated_flow_map(

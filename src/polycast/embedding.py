@@ -67,16 +67,6 @@ class PhaseSpace:
     def point_count(self) -> int:
         return len(self.points)
 
-    def base_indices(self, point_index: int) -> np.ndarray:
-        """Series indices contributing to point ``point_index``, oldest first."""
-        if not 0 <= point_index < self.point_count:
-            raise ValueError(
-                f"point index {point_index} out of range for "
-                f"{self.point_count} points"
-            )
-        p = self.params
-        return point_index + p.lag * np.arange(p.dimension)
-
 
 def reconstruct(series: TimeSeries, params: EmbeddingParams) -> PhaseSpace:
     """Embed ``series`` into delay coordinates.
@@ -97,14 +87,3 @@ def reconstruct(series: TimeSeries, params: EmbeddingParams) -> PhaseSpace:
         for j in range(params.dimension)
     ]
     return PhaseSpace(params, np.column_stack(cols))
-
-
-def forecast_target_index(point_index: int, params: EmbeddingParams) -> int:
-    """Series index forecast from point ``point_index``.
-
-    The map trained on this convention sends point i to the newest
-    component of point i + 1, i.e. series index i + (m-1)*p + 1.
-    """
-    if point_index < 0:
-        raise ValueError(f"point index must be >= 0, got {point_index}")
-    return point_index + params.window_span + 1

@@ -205,13 +205,11 @@ class LogRatioPoint(NamedTuple):
     capped: bool
 
 
-def log_ratio_series(
-    records: Sequence[ForecastRecord], cap: float = LOG_RATIO_CAP
-) -> Tuple[LogRatioPoint, ...]:
+def log_ratio_series(records: Sequence[ForecastRecord]) -> Tuple[LogRatioPoint, ...]:
     """ln(gf_error / igf_error) per record with known errors.
 
     A zero error on either side would give an infinite ratio; those
-    values are clipped to +/- ``cap`` and marked capped.
+    values are clipped to +/- ``LOG_RATIO_CAP`` and marked capped.
     """
     out = []
     for rec in records:
@@ -221,15 +219,15 @@ def log_ratio_series(
         if igf == 0.0 and gf == 0.0:
             point = LogRatioPoint(rec.entry, 0.0, True)
         elif igf == 0.0:
-            point = LogRatioPoint(rec.entry, cap, True)
+            point = LogRatioPoint(rec.entry, LOG_RATIO_CAP, True)
         elif gf == 0.0:
-            point = LogRatioPoint(rec.entry, -cap, True)
+            point = LogRatioPoint(rec.entry, -LOG_RATIO_CAP, True)
         else:
             raw = math.log(gf / igf)
-            if raw > cap:
-                point = LogRatioPoint(rec.entry, cap, True)
-            elif raw < -cap:
-                point = LogRatioPoint(rec.entry, -cap, True)
+            if raw > LOG_RATIO_CAP:
+                point = LogRatioPoint(rec.entry, LOG_RATIO_CAP, True)
+            elif raw < -LOG_RATIO_CAP:
+                point = LogRatioPoint(rec.entry, -LOG_RATIO_CAP, True)
             else:
                 point = LogRatioPoint(rec.entry, raw, False)
         out.append(point)
@@ -260,7 +258,6 @@ def survey(
     entries: Iterable[int],
     window: int = 40,
     n_cap: int = 30,
-    include_near_zero: bool = True,
 ) -> SurveyReport:
     """Run corrected forecasts at many anchors and aggregate the errors.
 
@@ -268,20 +265,15 @@ def survey(
     correction window and an in-range forecast point.  All anchors are
     evaluated in one batch, and records follow the input order.
     Per-anchor plateau failures become flagged records rather than
-    aborting the survey.  Means cover records with known actuals,
-    excluding near-zero actuals when ``include_near_zero`` is false.
+    aborting the survey.  Means cover every record with a known actual,
+    near-zero actuals included, so a mean can be ``inf``.
     """
     points = np.array(list(entries), dtype=int) - space.params.window_span - 2
     records = _forecast_batch(
         fmap, series, space, points, window, n_cap, fallback_on_no_plateau=True
     )
 
-    included = [
-        rec
-        for rec in records
-        if rec.gf_error_pct is not None
-        and (include_near_zero or FLAG_NEAR_ZERO_ACTUAL not in rec.flags)
-    ]
+    included = [rec for rec in records if rec.gf_error_pct is not None]
     if included:
         mean_gf = float(np.mean([rec.gf_error_pct for rec in included]))
         mean_igf = float(np.mean([rec.igf_error_pct for rec in included]))

@@ -9,13 +9,14 @@ across k contiguous folds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .algebra import MonomialBasis, Polynomial, enumerate_monomials
-from .embedding import PhaseSpace, TimeSeries, forecast_target_index
+from .algebra import MonomialBasis, enumerate_monomials
+from .embedding import PhaseSpace, TimeSeries
 
 # Fits whose singular-value ratio s_min/s_max falls below this are
 # reported as rank-deficient instead of returning an arbitrary
@@ -51,22 +52,12 @@ class PolynomialMap:
             )
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def input_dimension(self) -> int:
-        return self.basis.variable_count
-
     def predict(self, point: Sequence[float]) -> float:
         columns = self.basis.design_columns(np.asarray(point))
         return float((columns @ self.coefficients)[0])
 
     def predict_many(self, points: np.ndarray) -> np.ndarray:
         return self.basis.design_columns(points) @ self.coefficients
-
-    def to_polynomial(self) -> Polynomial:
-        return Polynomial(
-            self.basis.variable_count,
-            dict(zip(self.basis.monomials, self.coefficients)),
-        )
 
 
 @dataclass(frozen=True)
@@ -206,16 +197,17 @@ def fit_kfold(
     design matrix is built once over all usable rows, and each fold solves
     the subset of its rows that the fold keeps.
     """
-    basis = enumerate_monomials(
-        space.params.dimension, config.degree, config.include_constant
-    )
+    m = space.params.dimension
     rows = usable_point_indices(space, series, config.training_range)
-    if len(rows) < len(basis):
+    # count the basis before building it, which takes minutes at a high degree
+    terms = math.comb(config.degree + m, m) - (not config.include_constant)
+    if len(rows) < terms:
         raise UnderdeterminedSystemError(
-            f"{len(rows)} usable rows cannot determine {len(basis)} "
+            f"{len(rows)} usable rows cannot determine {terms} "
             f"coefficients (degree {config.degree}, constant "
             f"{config.include_constant})"
         )
+    basis = enumerate_monomials(m, config.degree, config.include_constant)
     parts = contiguous_folds(len(rows), config.folds)
     matrix, targets = build_design_matrix(
         space, basis, series, rows, target_lag_offset

@@ -17,7 +17,6 @@ import numpy as np
 
 from .algebra import enumerate_monomials, grlex_key
 from .evaluate import ForecastRecord, SurveyReport
-from .dynamics import Trajectory
 from .embedding import PhaseSpace, TimeSeries
 from .fitting import PolynomialMap
 
@@ -67,14 +66,6 @@ def read_series_csv(path) -> TimeSeries:
     if not values:
         raise ValueError(f"no numeric rows found in {path}")
     return TimeSeries(np.array(values), name=name)
-
-
-def write_trajectory_csv(path, trajectory: Trajectory) -> None:
-    with _open_out(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i"] + [f"x{j + 1}" for j in range(trajectory.dimension)])
-        for i, state in enumerate(trajectory.states):
-            writer.writerow([i] + [_fmt(v) for v in state])
 
 
 def write_phase_space_csv(path, space: PhaseSpace) -> None:
@@ -174,9 +165,13 @@ def load_map(path) -> PolynomialMap:
     seen = set()
     for line in lines[1:]:
         parts = line.split()
-        if len(parts) != m + 1:
+        try:
+            coeff = float(parts[0])
+            mono = tuple(int(e) for e in parts[1:])
+        except ValueError:
+            raise ValueError(f"{path}: malformed term line {line!r}") from None
+        if len(mono) != m:
             raise ValueError(f"{path}: malformed term line {line!r}")
-        mono = tuple(int(e) for e in parts[1:])
         if mono not in index:
             raise ValueError(
                 f"{path}: monomial {mono} is not in the declared basis"
@@ -184,5 +179,5 @@ def load_map(path) -> PolynomialMap:
         if mono in seen:
             raise ValueError(f"{path}: monomial {mono} appears more than once")
         seen.add(mono)
-        coeffs[index[mono]] = float(parts[0])
+        coeffs[index[mono]] = coeff
     return PolynomialMap(basis, coeffs)

@@ -169,12 +169,10 @@ def test_near_zero_actual_flagged_and_excludable(pipeline):
     assert FLAG_NEAR_ZERO_ACTUAL in rec.flags
     assert rec.gf_error_pct == math.inf
 
-    entries = (rec.entry, 330, 340)
-    with_zero = survey(fmap, d_series, d_space, entries, include_near_zero=True)
-    without = survey(fmap, d_series, d_space, entries, include_near_zero=False)
-    assert math.isinf(with_zero.mean_gf_error_pct)
-    assert math.isfinite(without.mean_gf_error_pct)
-    assert len(without.records) == 3  # records kept, only the means exclude it
+    report = survey(fmap, d_series, d_space, (rec.entry, 330, 340))
+    assert FLAG_NEAR_ZERO_ACTUAL in report.records[0].flags
+    assert math.isinf(report.mean_gf_error_pct)
+    assert len(report.records) == 3
 
 
 def test_no_plateau_fallback_flag():

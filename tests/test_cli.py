@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, precedence, exit codes."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,32 @@ def test_fit_three_outputs_reports_168_coefficients(tmp_path, capsys):
     for name in ("map.txt", "map_lag1.txt", "map_lag2.txt"):
         fmap = pio.load_map(tmp_path / "out" / name)
         assert len(fmap.basis) == 56
+
+
+def test_fit_outputs_keep_a_dotted_directory(tmp_path, capsys):
+    rc = main(["fit", "--set", "output.map=results.v2/map",
+               "--set", "fit.outputs=2"])
+    assert rc == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "results.v2").iterdir()) == [
+        "map", "map_lag1"]
+    assert "-> results.v2/map_lag1\n" in capsys.readouterr().out
+
+
+def test_fit_huge_degree_refused_without_building_the_basis(capsys):
+    # the row count must be checked before a 10.8 million-term basis is built
+    def too_slow(signum, frame):
+        pytest.fail("fit at degree 400 took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        rc = main(["fit", "--set", "fit.degree=400"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == EXIT_NUMERICAL
+    assert ("127 usable rows cannot determine 10827400 coefficients "
+            "(degree 400, constant False)" in capsys.readouterr().err)
 
 
 def test_fit_rank_deficiency_is_numerical_failure(tmp_path, capsys):

@@ -52,13 +52,6 @@ def test_lorenz_quadratic_terms_carry_no_parameters():
     assert sorted(quadratics) == [((1, 0, 1), -1.0), ((1, 1, 0), 1.0)]
 
 
-def test_is_chaotic_threshold():
-    assert LorenzParams(r=28.0).is_chaotic
-    assert LorenzParams(r=24.75).is_chaotic
-    assert not LorenzParams(r=24.74).is_chaotic
-    assert not LorenzParams(r=20.0).is_chaotic
-
-
 def test_order_one_map_is_euler():
     field = lorenz_field(LorenzParams())
     dt = 0.01
@@ -82,7 +75,6 @@ def test_map_metadata():
     assert fmap.order == 2
     assert fmap.delta_t == 0.02
     assert fmap.dimension == 3
-    assert fmap.coefficient_count == sum(len(c) for c in fmap.components)
 
 
 def test_linear_field_map_coefficient_is_partial_exponential():

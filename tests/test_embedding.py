@@ -7,7 +7,6 @@ from polycast import (
     EmbeddingParams,
     PhaseSpace,
     TimeSeries,
-    forecast_target_index,
     reconstruct,
 )
 
@@ -81,19 +80,13 @@ def test_reconstruct_too_short():
     assert np.array_equal(space.points[0], [0.0, 6.0, 12.0])
 
 
-def test_base_indices_round_trip():
+def test_points_gather_lagged_samples():
+    # point i is the series at i, i + p, ..., i + (m-1)p
     rng = np.random.default_rng(1)
     series = TimeSeries(rng.normal(size=100))
-    params = EmbeddingParams(5, 4)
-    space = reconstruct(series, params)
+    space = reconstruct(series, EmbeddingParams(5, 4))
     for i in (0, 7, space.point_count - 1):
-        idx = space.base_indices(i)
-        assert np.array_equal(idx, i + 5 * np.arange(4))
-        assert np.array_equal(space.points[i], series.values[idx])
-    with pytest.raises(ValueError):
-        space.base_indices(space.point_count)
-    with pytest.raises(ValueError):
-        space.base_indices(-1)
+        assert np.array_equal(space.points[i], series.values[i + 5 * np.arange(4)])
 
 
 def test_rows_shift_by_one_sample():
@@ -103,17 +96,8 @@ def test_rows_shift_by_one_sample():
     space = reconstruct(series, EmbeddingParams(3, 4))
     for i in range(space.point_count - 1):
         assert np.array_equal(
-            space.points[i + 1], series.values[space.base_indices(i) + 1]
+            space.points[i + 1], series.values[i + 1 + 3 * np.arange(4)]
         )
-
-
-def test_forecast_target_index():
-    params = EmbeddingParams(2, 2)
-    assert forecast_target_index(2, params) == 5
-    assert forecast_target_index(0, EmbeddingParams(1, 1)) == 1
-    assert forecast_target_index(316, EmbeddingParams(6, 3)) == 329
-    with pytest.raises(ValueError):
-        forecast_target_index(-1, params)
 
 
 def test_forecast_target_is_newest_component_of_next_point():
@@ -122,5 +106,6 @@ def test_forecast_target_is_newest_component_of_next_point():
     params = EmbeddingParams(6, 3)
     space = reconstruct(series, params)
     for i in range(space.point_count - 1):
-        t = forecast_target_index(i, params)
+        # the forecast target of point i is series index i + (m-1)p + 1
+        t = i + params.window_span + 1
         assert series.values[t] == space.points[i + 1, -1]

@@ -255,15 +255,10 @@ def test_polynomial_map_validation_and_predict():
     with pytest.raises(ValueError):
         PolynomialMap(basis, np.ones(2))
     fmap = PolynomialMap(basis, np.array([1.0, 2.0, 3.0]))
-    assert fmap.input_dimension == 2
     assert fmap.predict((1.0, 1.0)) == pytest.approx(6.0, rel=1e-15)
     pts = np.array([[0.0, 0.0], [1.0, -1.0]])
     assert np.allclose(fmap.predict_many(pts), [1.0, 0.0])
     assert fmap.predict((0.0, 0.0)) == 1.0
-    poly = fmap.to_polynomial()
-    assert poly.evaluate((0.5, 0.25)) == pytest.approx(
-        fmap.predict((0.5, 0.25)), rel=1e-14
-    )
 
 
 def test_reference_map_a_at_ones():

@@ -17,16 +17,12 @@ from polycast import (
     lorenz_series,
     read_series_csv,
     reconstruct,
-    rk4_integrate,
-    lorenz_field,
-    LorenzParams,
     save_map,
     write_delta_table_csv,
     write_log_ratio_csv,
     write_phase_space_csv,
     write_report_csv,
     write_series_csv,
-    write_trajectory_csv,
 )
 
 
@@ -85,16 +81,6 @@ def test_read_series_errors(tmp_path):
 
 
 def test_trajectory_and_phase_space_csv(tmp_path):
-    traj = rk4_integrate(
-        lorenz_field(LorenzParams()), (1.0, 2.0, 3.0), 0.01, 4
-    )
-    tpath = tmp_path / "traj.csv"
-    write_trajectory_csv(tpath, traj)
-    lines = tpath.read_text().splitlines()
-    assert lines[0] == "i,x1,x2,x3"
-    assert len(lines) == 6
-    assert lines[1].split(",")[0] == "0"
-
     space = reconstruct(TimeSeries(np.arange(10.0)), EmbeddingParams(2, 3))
     ppath = tmp_path / "space.csv"
     write_phase_space_csv(ppath, space)
@@ -192,6 +178,11 @@ def test_load_map_errors(tmp_path):
     path.write_text("# degree=1 m=3 constant=false\n1.0 0 0 2\n")
     with pytest.raises(ValueError, match="basis"):
         load_map(path)
+    for line in ("abc 0 0 1", "1.0 0 x 1", "1.0 0 0.5 1"):
+        path.write_text(f"# degree=1 m=3 constant=false\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            load_map(path)
+        assert str(exc.value) == f"{path}: malformed term line {line!r}"
 
 
 def test_load_map_rejects_duplicate_monomial(tmp_path):
