@@ -351,18 +351,26 @@ def _in_numpy(fn: Callable[..., Tuple[float, ...]], args: tuple) -> Tuple[float,
         return tuple(float(v) for v in fn(*[np.float64(a) for a in args]))
 
 
-def enumerate_monomials(
+def monomial_count(
     variable_count: int, max_degree: int, include_constant: bool = True
-) -> MonomialBasis:
-    """All monomials of total degree <= ``max_degree``, graded-lex ordered.
-
-    With the constant included the basis has C(max_degree + n, n) members
-    for n variables; without it, one fewer.
+) -> int:
+    """Size of enumerate_monomials' basis, counted without building it:
+    C(max_degree + n, n) for n variables, one fewer without the constant.
     """
     if variable_count < 1:
         raise ValueError(f"variable_count must be >= 1, got {variable_count}")
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    full = math.comb(max_degree + variable_count, variable_count)
+    return full - (not include_constant)
+
+
+def enumerate_monomials(
+    variable_count: int, max_degree: int, include_constant: bool = True
+) -> MonomialBasis:
+    """All monomials of total degree <= ``max_degree``, graded-lex ordered;
+    monomial_count gives their number."""
+    monomial_count(variable_count, max_degree, include_constant)  # validates
     monos = []
     lo = 0 if include_constant else 1
     for degree in range(lo, max_degree + 1):

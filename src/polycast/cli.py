@@ -18,12 +18,18 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import monomial_label
-from .evaluate import equally_spaced, error_window, forecast_improved, survey
+from .evaluate import (
+    FLAG_NO_CORRECTION_NEEDED,
+    equally_spaced,
+    error_window,
+    forecast_improved,
+    survey,
+)
 from .config import RunConfig, load_config
 from .correction import DifferenceTable, NoPlateauError
 from .dynamics import BlowupError, LorenzParams, lorenz_series
 from .embedding import EmbeddingParams, PhaseSpace, TimeSeries, reconstruct
-from .fitting import FitConfig, FitError, PolynomialMap, fit_kfold, usable_point_indices
+from .fitting import FitConfig, FitError, fit_kfold, usable_point_indices
 from . import io as pio
 
 EXIT_OK = 0
@@ -129,10 +135,6 @@ def _fit_config(config: RunConfig, series: TimeSeries) -> FitConfig:
     )
 
 
-def _load_map(config: RunConfig) -> PolynomialMap:
-    return pio.load_map(config.resolved_map_file)
-
-
 def cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
     if config.input != "lorenz":
         raise ValueError(
@@ -140,7 +142,7 @@ def cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
             f"(input is currently {config.input!r})"
         )
     series = _load_series(config)
-    path = config.resolved_series_file
+    path = config.output_path("series")
     pio.write_series_csv(path, series)
     print(
         f"generated {len(series)} samples of x1 "
@@ -153,7 +155,7 @@ def cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_embed(config: RunConfig, args: argparse.Namespace) -> int:
     series = _load_series(config)
     space = _embed(config, series)
-    path = config.resolved_phase_space_file
+    path = config.output_path("phase_space")
     pio.write_phase_space_csv(path, space)
     print(
         f"embedded {len(series)} samples into {space.point_count} points "
@@ -174,7 +176,7 @@ def cmd_fit(config: RunConfig, args: argparse.Namespace) -> int:
     total = 0
     for offset in range(config.outputs):
         fmap = fit_kfold(series, space, fit_config, target_lag_offset=offset)
-        path = config.resolved_map_file
+        path = config.output_path("map")
         if offset:
             root, ext = os.path.splitext(path)
             path = f"{root}_lag{offset}{ext}"
@@ -197,7 +199,7 @@ def cmd_forecast(config: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError("forecast needs an anchor entry (--entry or forecast.entry)")
     series = _load_series(config)
     space = _embed(config, series)
-    fmap = _load_map(config)
+    fmap = pio.load_map(config.output_path("map"))
     entry = config.forecast_entry
     point = entry - space.params.window_span - 2
     record = forecast_improved(
@@ -213,7 +215,8 @@ def cmd_forecast(config: RunConfig, args: argparse.Namespace) -> int:
     actuals, forecasts = error_window(fmap, series, space, point, config.window)
     table = DifferenceTable(actuals - forecasts)
     magnitudes = table.magnitudes(min(config.n_cap, table.window))
-    pio.write_delta_table_csv(config.resolved_delta_table_file, magnitudes)
+    delta_path = config.output_path("delta_table")
+    pio.write_delta_table_csv(delta_path, magnitudes)
     print(f"anchor entry {entry} (forecasting entry {entry + 1})")
     print(f"gf_forecast  {record.gf_forecast:.17g}")
     print(f"k_star       {record.k_star}")
@@ -222,18 +225,18 @@ def cmd_forecast(config: RunConfig, args: argparse.Namespace) -> int:
         print(f"actual       {record.actual:.17g}")
         print(f"gf_error_pct  {record.gf_error_pct:.17g}")
         print(f"igf_error_pct {record.igf_error_pct:.17g}")
-    if "no_correction_needed" in record.flags:
+    if FLAG_NO_CORRECTION_NEEDED in record.flags:
         print("no correction needed: recent forecasts match the actuals")
     if record.flags:
         print(f"flags: {'|'.join(sorted(record.flags))}")
-    print(f"difference magnitudes -> {config.resolved_delta_table_file}")
+    print(f"difference magnitudes -> {delta_path}")
     return EXIT_OK
 
 
 def cmd_survey(config: RunConfig, args: argparse.Namespace) -> int:
     series = _load_series(config)
     space = _embed(config, series)
-    fmap = _load_map(config)
+    fmap = pio.load_map(config.output_path("map"))
     entries = equally_spaced(config.survey_start, config.survey_stop, config.survey_step)
     report = survey(
         fmap,
@@ -243,8 +246,10 @@ def cmd_survey(config: RunConfig, args: argparse.Namespace) -> int:
         window=config.window,
         n_cap=config.n_cap,
     )
-    pio.write_report_csv(config.resolved_report_file, report)
-    pio.write_log_ratio_csv(config.resolved_log_ratio_file, report)
+    report_path = config.output_path("report")
+    log_ratio_path = config.output_path("log_ratio")
+    pio.write_report_csv(report_path, report)
+    pio.write_log_ratio_csv(log_ratio_path, report)
     print(
         f"surveyed {len(report.records)} anchors "
         f"({config.survey_start}..{config.survey_stop} step {config.survey_step})"
@@ -255,8 +260,8 @@ def cmd_survey(config: RunConfig, args: argparse.Namespace) -> int:
     flagged = [rec for rec in report.records if rec.flags]
     for rec in flagged:
         print(f"  entry {rec.entry}: {'|'.join(sorted(rec.flags))}")
-    print(f"report -> {config.resolved_report_file}")
-    print(f"log ratios -> {config.resolved_log_ratio_file}")
+    print(f"report -> {report_path}")
+    print(f"log ratios -> {log_ratio_path}")
     return EXIT_OK
 
 

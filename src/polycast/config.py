@@ -7,7 +7,7 @@ are rejected so typos fail loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, Mapping
 
@@ -21,16 +21,20 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int(text: str) -> int:
-    return int(text.strip())
+def _key(key: str, default):
+    """A field default that carries the field's dotted configuration key."""
+    return field(default=default, metadata={"key": key})
 
 
-def _parse_float(text: str) -> float:
-    return float(text.strip())
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
+# Output name -> file name under output.dir when output.<name> is empty.
+_OUTPUT_FILES = {
+    "series": "series.csv",
+    "map": "map.txt",
+    "report": "survey.csv",
+    "log_ratio": "log_ratio.csv",
+    "delta_table": "delta_table.csv",
+    "phase_space": "phase_space.csv",
+}
 
 
 @dataclass(frozen=True)
@@ -44,37 +48,37 @@ class RunConfig:
     of the series otherwise.  Train bounds are 1-based and inclusive.
     """
 
-    input: str = "lorenz"
-    output_dir: str = "out"
-    series_file: str = ""
-    map_file: str = ""
-    report_file: str = ""
-    log_ratio_file: str = ""
-    delta_table_file: str = ""
-    phase_space_file: str = ""
-    sigma: float = 10.0
-    r: float = 28.0
-    b: float = 8.0 / 3.0
-    dt: float = 0.01
-    steps: int = 600
-    substeps: int = 10
-    x1: float = -0.3336666667
-    x2: float = -0.3336666667
-    x3: float = 21.9996666667
-    lag: int = 6
-    dimension: int = 3
-    degree: int = 2
-    include_constant: bool = False
-    folds: int = 10
-    train_start: int = 1
-    train_stop: int = 0
-    outputs: int = 1
-    window: int = 40
-    n_cap: int = 30
-    survey_start: int = 300
-    survey_stop: int = 500
-    survey_step: int = 10
-    forecast_entry: int = 0
+    input: str = _key("input", "lorenz")
+    output_dir: str = _key("output.dir", "out")
+    series_file: str = _key("output.series", "")
+    map_file: str = _key("output.map", "")
+    report_file: str = _key("output.report", "")
+    log_ratio_file: str = _key("output.log_ratio", "")
+    delta_table_file: str = _key("output.delta_table", "")
+    phase_space_file: str = _key("output.phase_space", "")
+    sigma: float = _key("lorenz.sigma", 10.0)
+    r: float = _key("lorenz.r", 28.0)
+    b: float = _key("lorenz.b", 8.0 / 3.0)
+    dt: float = _key("lorenz.dt", 0.01)
+    steps: int = _key("lorenz.steps", 600)
+    substeps: int = _key("lorenz.substeps", 10)
+    x1: float = _key("lorenz.x1", -0.3336666667)
+    x2: float = _key("lorenz.x2", -0.3336666667)
+    x3: float = _key("lorenz.x3", 21.9996666667)
+    lag: int = _key("embedding.lag", 6)
+    dimension: int = _key("embedding.dimension", 3)
+    degree: int = _key("fit.degree", 2)
+    include_constant: bool = _key("fit.constant", False)
+    folds: int = _key("fit.folds", 10)
+    train_start: int = _key("fit.train_start", 1)
+    train_stop: int = _key("fit.train_stop", 0)
+    outputs: int = _key("fit.outputs", 1)
+    window: int = _key("correction.window", 40)
+    n_cap: int = _key("correction.n_cap", 30)
+    survey_start: int = _key("survey.start", 300)
+    survey_stop: int = _key("survey.stop", 500)
+    survey_step: int = _key("survey.step", 10)
+    forecast_entry: int = _key("forecast.entry", 0)
 
     def __post_init__(self):
         positive = (
@@ -87,34 +91,12 @@ class RunConfig:
         if self.dt <= 0:
             raise ValueError("lorenz.dt must be positive")
 
-    # Files default to well-known names under the output directory.
-
-    def _out(self, override: str, default_name: str) -> str:
-        return override or str(Path(self.output_dir) / default_name)
-
-    @property
-    def resolved_series_file(self) -> str:
-        return self._out(self.series_file, "series.csv")
-
-    @property
-    def resolved_map_file(self) -> str:
-        return self._out(self.map_file, "map.txt")
-
-    @property
-    def resolved_report_file(self) -> str:
-        return self._out(self.report_file, "survey.csv")
-
-    @property
-    def resolved_log_ratio_file(self) -> str:
-        return self._out(self.log_ratio_file, "log_ratio.csv")
-
-    @property
-    def resolved_delta_table_file(self) -> str:
-        return self._out(self.delta_table_file, "delta_table.csv")
-
-    @property
-    def resolved_phase_space_file(self) -> str:
-        return self._out(self.phase_space_file, "phase_space.csv")
+    def output_path(self, name: str) -> str:
+        """The ``output.<name>`` file; when that is empty, the file's
+        default name under the output directory."""
+        return getattr(self, f"{name}_file") or str(
+            Path(self.output_dir) / _OUTPUT_FILES[name]
+        )
 
     def with_settings(self, mapping: Mapping[str, str]) -> "RunConfig":
         """A copy with dotted-key settings applied (values given as text)."""
@@ -131,41 +113,15 @@ class RunConfig:
         return replace(self, **updates)
 
 
+# Each key's parser follows the type of its field's default.
+_PARSERS = {bool: _parse_bool, int: int, float: float, str: str.strip}
+
 KEYS = {
-    "input": ("input", _parse_str),
-    "output.dir": ("output_dir", _parse_str),
-    "output.series": ("series_file", _parse_str),
-    "output.map": ("map_file", _parse_str),
-    "output.report": ("report_file", _parse_str),
-    "output.log_ratio": ("log_ratio_file", _parse_str),
-    "output.delta_table": ("delta_table_file", _parse_str),
-    "output.phase_space": ("phase_space_file", _parse_str),
-    "lorenz.sigma": ("sigma", _parse_float),
-    "lorenz.r": ("r", _parse_float),
-    "lorenz.b": ("b", _parse_float),
-    "lorenz.dt": ("dt", _parse_float),
-    "lorenz.steps": ("steps", _parse_int),
-    "lorenz.substeps": ("substeps", _parse_int),
-    "lorenz.x1": ("x1", _parse_float),
-    "lorenz.x2": ("x2", _parse_float),
-    "lorenz.x3": ("x3", _parse_float),
-    "embedding.lag": ("lag", _parse_int),
-    "embedding.dimension": ("dimension", _parse_int),
-    "fit.degree": ("degree", _parse_int),
-    "fit.constant": ("include_constant", _parse_bool),
-    "fit.folds": ("folds", _parse_int),
-    "fit.train_start": ("train_start", _parse_int),
-    "fit.train_stop": ("train_stop", _parse_int),
-    "fit.outputs": ("outputs", _parse_int),
-    "correction.window": ("window", _parse_int),
-    "correction.n_cap": ("n_cap", _parse_int),
-    "survey.start": ("survey_start", _parse_int),
-    "survey.stop": ("survey_stop", _parse_int),
-    "survey.step": ("survey_step", _parse_int),
-    "forecast.entry": ("forecast_entry", _parse_int),
+    f.metadata["key"]: (f.name, _PARSERS[type(f.default)])
+    for f in fields(RunConfig)
 }
 
-KEY_FOR_FIELD = {field: key for key, (field, _) in KEYS.items()}
+KEY_FOR_FIELD = {field_name: key for key, (field_name, _) in KEYS.items()}
 
 
 def parse_config_text(text: str) -> Dict[str, str]:

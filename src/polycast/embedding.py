@@ -11,7 +11,7 @@ internally; user-facing entry numbers (CLI, reports) are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

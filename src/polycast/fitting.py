@@ -9,13 +9,12 @@ across k contiguous folds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .algebra import MonomialBasis, enumerate_monomials
+from .algebra import MonomialBasis, enumerate_monomials, monomial_count
 from .embedding import PhaseSpace, TimeSeries
 
 # Fits whose singular-value ratio s_min/s_max falls below this are
@@ -200,7 +199,7 @@ def fit_kfold(
     m = space.params.dimension
     rows = usable_point_indices(space, series, config.training_range)
     # count the basis before building it, which takes minutes at a high degree
-    terms = math.comb(config.degree + m, m) - (not config.include_constant)
+    terms = monomial_count(m, config.degree, config.include_constant)
     if len(rows) < terms:
         raise UnderdeterminedSystemError(
             f"{len(rows)} usable rows cannot determine {terms} "

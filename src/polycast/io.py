@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import os
 from pathlib import Path
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import enumerate_monomials, grlex_key
-from .evaluate import ForecastRecord, SurveyReport
+from .algebra import enumerate_monomials, monomial_count
+from .evaluate import SurveyReport
 from .embedding import PhaseSpace, TimeSeries
 from .fitting import PolynomialMap
 
@@ -142,8 +142,11 @@ def save_map(path, fmap: PolynomialMap) -> None:
 def load_map(path) -> PolynomialMap:
     """Read a map written by save_map.
 
-    Term lines may appear in any order; monomials missing from the file
-    take coefficient zero, and unknown or repeated monomials are rejected.
+    The file lists every monomial of the basis its header declares, one
+    term line each, in any order.  Repeated monomials and a term-line
+    count other than the basis size are rejected before the basis is
+    built, so a header that declares a huge basis fails at once; unknown
+    monomials are rejected too.
     """
     with open(path) as fh:
         lines = [line.strip() for line in fh if line.strip()]
@@ -157,12 +160,10 @@ def load_map(path) -> PolynomialMap:
         degree = int(header["degree"])
         m = int(header["m"])
         constant = {"true": True, "false": False}[header["constant"].lower()]
+        size = monomial_count(m, degree, constant)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
-    basis = enumerate_monomials(m, degree, constant)
-    index = {mono: i for i, mono in enumerate(basis.monomials)}
-    coeffs = np.zeros(len(basis))
-    seen = set()
+    terms = {}
     for line in lines[1:]:
         parts = line.split()
         try:
@@ -172,12 +173,20 @@ def load_map(path) -> PolynomialMap:
             raise ValueError(f"{path}: malformed term line {line!r}") from None
         if len(mono) != m:
             raise ValueError(f"{path}: malformed term line {line!r}")
-        if mono not in index:
+        if mono in terms:
+            raise ValueError(f"{path}: monomial {mono} appears more than once")
+        terms[mono] = coeff
+    if len(terms) != size:
+        raise ValueError(
+            f"{path}: the header declares {size} terms but the file has "
+            f"{len(terms)} term lines"
+        )
+    basis = enumerate_monomials(m, degree, constant)
+    known = set(basis.monomials)
+    for mono in terms:
+        if mono not in known:
             raise ValueError(
                 f"{path}: monomial {mono} is not in the declared basis"
             )
-        if mono in seen:
-            raise ValueError(f"{path}: monomial {mono} appears more than once")
-        seen.add(mono)
-        coeffs[index[mono]] = coeff
+    coeffs = np.array([terms[mono] for mono in basis.monomials])
     return PolynomialMap(basis, coeffs)

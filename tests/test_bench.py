@@ -424,7 +424,17 @@ def test_non_finite_error_outside_every_window_is_ignored(pipeline):
         ]
         with pytest.raises(ValueError, match="at anchor 210 contains non-finite"):
             survey(fmap, s_series, s_space, (100, 210, 320))
-    for rec, (gf, igf, k_star, flags) in zip(report.records, reference):
+        # Point 200, the newest whose error is non-finite, is the oldest
+        # error in anchor 254's window and lies one before anchor 255's.
+        with pytest.raises(ValueError, match="at anchor 254 contains non-finite"):
+            survey(fmap, s_series, s_space, (100, 254))
+        with pytest.raises(ValueError, match="at anchor 254 contains non-finite"):
+            forecast_improved(fmap, s_series, s_space, 254 - span - 2)
+        edge = survey(fmap, s_series, s_space, (100, 255)).records[1]
+        reference.append(
+            _reference_forecast(fmap, s_series, s_space, 255 - span - 2)
+        )
+    for rec, (gf, igf, k_star, flags) in zip([*report.records, edge], reference):
         assert (rec.k_star, rec.flags) == (k_star, flags)
         assert k_star is not None
         assert rec.gf_forecast == pytest.approx(gf, rel=1e-12)

@@ -145,6 +145,25 @@ def test_fit_huge_degree_refused_without_building_the_basis(capsys):
             "(degree 400, constant False)" in capsys.readouterr().err)
 
 
+def test_survey_huge_declared_map_basis_is_io_error(tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "map.txt").write_text("# degree=400 m=3 constant=false\n")
+
+    def too_slow(signum, frame):
+        pytest.fail("survey on a degree-400 map header took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        rc = main(["survey"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == EXIT_IO
+    assert ("declares 10827400 terms but the file has 0 term lines"
+            in capsys.readouterr().err)
+
+
 def test_fit_rank_deficiency_is_numerical_failure(tmp_path, capsys):
     pio.write_series_csv(tmp_path / "const.csv",
                          pc.TimeSeries(np.full(20, 2.5), name="x"))
@@ -196,6 +215,11 @@ def test_forecast_warns_in_sample(tmp_path, capsys):
     _fit_default(tmp_path)
     assert main(["forecast", "--entry", "100"]) == EXIT_OK
     assert "in-sample" in capsys.readouterr().err
+    # the default train_stop is entry 140: the last in-sample anchor
+    assert main(["forecast", "--entry", "140"]) == EXIT_OK
+    assert "anchor entry 140 lies inside the training range" in capsys.readouterr().err
+    assert main(["forecast", "--entry", "141"]) == EXIT_OK
+    assert "in-sample" not in capsys.readouterr().err
 
 
 def test_forecast_requires_entry(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Configuration parsing and dotted-key overrides."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from polycast.config import (
@@ -86,15 +89,15 @@ def test_validation_of_ranges():
 
 def test_resolved_paths_follow_output_dir():
     cfg = RunConfig(output_dir="run1")
-    assert cfg.resolved_series_file == "run1/series.csv"
-    assert cfg.resolved_map_file == "run1/map.txt"
-    assert cfg.resolved_report_file == "run1/survey.csv"
-    assert cfg.resolved_log_ratio_file == "run1/log_ratio.csv"
-    assert cfg.resolved_delta_table_file == "run1/delta_table.csv"
-    assert cfg.resolved_phase_space_file == "run1/phase_space.csv"
+    assert cfg.output_path("series") == "run1/series.csv"
+    assert cfg.output_path("map") == "run1/map.txt"
+    assert cfg.output_path("report") == "run1/survey.csv"
+    assert cfg.output_path("log_ratio") == "run1/log_ratio.csv"
+    assert cfg.output_path("delta_table") == "run1/delta_table.csv"
+    assert cfg.output_path("phase_space") == "run1/phase_space.csv"
     # explicit file settings win over the directory default
     cfg = RunConfig(output_dir="run1", map_file="elsewhere/m.txt")
-    assert cfg.resolved_map_file == "elsewhere/m.txt"
+    assert cfg.output_path("map") == "elsewhere/m.txt"
 
 
 def test_every_key_round_trips():
@@ -104,6 +107,16 @@ def test_every_key_round_trips():
         current = getattr(cfg, field_name)
         updated = cfg.with_settings({key: str(current)})
         assert getattr(updated, field_name) == current
+
+
+def test_readme_key_table_lists_every_key():
+    # the README table is the only other place the keys are written down
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    listed = re.findall(r"`([^`]+)`", "\n".join(rows))
+    listed.remove("lorenz")  # the value in the input row, not a key
+    assert sorted(listed) == sorted(KEYS)
 
 
 def test_load_config(tmp_path):

@@ -184,6 +184,15 @@ def test_rk4_blowup_names_recorded_step():
         rk4_integrate(field, (100.0,), 0.1, 5)
 
 
+def test_rk4_blowup_limit_is_inclusive():
+    # a state exactly at the limit is in range; the next float up is not
+    field = VectorField((Polynomial.zero(1),))
+    traj = rk4_integrate(field, (BLOWUP_LIMIT,), 0.1, 3)
+    assert np.array_equal(traj.states, np.full((4, 1), BLOWUP_LIMIT))
+    with pytest.raises(BlowupError, match="recorded step 0:"):
+        rk4_integrate(field, (np.nextafter(BLOWUP_LIMIT, np.inf),), 0.1, 3)
+
+
 # (field, initial state, delta_t, steps, substeps); every field with a
 # power above one exercises ``x ** e`` in the generated substep.
 RK4_CASES = {

@@ -10,6 +10,7 @@ from polycast import (
     FitConfig,
     FitError,
     PolynomialMap,
+    RANK_TOLERANCE,
     RankDeficiencyError,
     TimeSeries,
     UnderdeterminedSystemError,
@@ -146,6 +147,19 @@ def test_lstsq_rank_deficient():
         fit_least_squares(np.column_stack([col, col]), np.ones(3))
     with pytest.raises(RankDeficiencyError):
         fit_least_squares(np.zeros((3, 2)), np.ones(3))
+
+
+def test_lstsq_rank_tolerance_boundary():
+    # a matrix built from chosen singular values, just either side of the bound
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.normal(size=(6, 3)))
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    t = rng.normal(size=6)
+    wide = (u * [1.0, 0.5, 2.0 * RANK_TOLERANCE]) @ v.T
+    assert np.all(np.isfinite(fit_least_squares(wide, t)))
+    narrow = (u * [1.0, 0.5, 0.5 * RANK_TOLERANCE]) @ v.T
+    with pytest.raises(RankDeficiencyError, match="ratio 5.0"):
+        fit_least_squares(narrow, t)
 
 
 def test_lstsq_residual_orthogonal_to_columns():

@@ -1,6 +1,7 @@
 """CSV and map-file round trips."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -155,13 +156,34 @@ def test_map_file_format(tmp_path):
     )
 
 
-def test_load_map_fills_missing_terms(tmp_path):
+def test_load_map_rejects_missing_terms(tmp_path):
+    # a map file lists every monomial of its declared basis
     path = tmp_path / "map.txt"
     path.write_text("# degree=2 m=3 constant=false\n2.5 0 0 1\n")
-    fmap = load_map(path)
-    assert len(fmap.coefficients) == 9
-    assert fmap.predict((0.0, 0.0, 4.0)) == 10.0
-    assert np.count_nonzero(fmap.coefficients) == 1
+    with pytest.raises(ValueError) as exc:
+        load_map(path)
+    assert str(exc.value) == (
+        f"{path}: the header declares 9 terms but the file has 1 term lines"
+    )
+
+
+def test_load_map_huge_declared_basis_fails_at_once(tmp_path):
+    # the term lines must be counted before a 10.8 million-term basis is built
+    path = tmp_path / "map.txt"
+    path.write_text("# degree=400 m=3 constant=false\n")
+
+    def too_slow(signum, frame):
+        pytest.fail("load_map on a degree-400 header took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="declares 10827400 terms but the file "
+                           "has 0 term lines"):
+            load_map(path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_load_map_errors(tmp_path):
@@ -169,14 +191,17 @@ def test_load_map_errors(tmp_path):
     path.write_text("1.0 0 0\n")
     with pytest.raises(ValueError, match="header"):
         load_map(path)
-    path.write_text("# degree=two m=3 constant=false\n")
-    with pytest.raises(ValueError, match="malformed"):
-        load_map(path)
+    for header in ("degree=two m=3", "degree=-1 m=3", "degree=2 m=0"):
+        path.write_text(f"# {header} constant=false\n")
+        with pytest.raises(ValueError, match="malformed header"):
+            load_map(path)
     path.write_text("# degree=1 m=3 constant=false\n1.0 0 0\n")
     with pytest.raises(ValueError, match="term line"):
         load_map(path)
-    path.write_text("# degree=1 m=3 constant=false\n1.0 0 0 2\n")
-    with pytest.raises(ValueError, match="basis"):
+    path.write_text(
+        "# degree=1 m=3 constant=false\n1.0 1 0 0\n1.0 0 1 0\n1.0 0 0 2\n"
+    )
+    with pytest.raises(ValueError, match=r"\(0, 0, 2\) is not in the declared basis"):
         load_map(path)
     for line in ("abc 0 0 1", "1.0 0 x 1", "1.0 0 0.5 1"):
         path.write_text(f"# degree=1 m=3 constant=false\n{line}\n")
