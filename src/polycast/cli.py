@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import monomial_label
 from .evaluate import (
     FLAG_NO_CORRECTION_NEEDED,
-    equally_spaced,
+    check_anchors,
     error_window,
     forecast_improved,
     survey,
@@ -214,7 +214,7 @@ def cmd_forecast(config: RunConfig, args: argparse.Namespace) -> int:
         )
     actuals, forecasts = error_window(fmap, series, space, point, config.window)
     table = DifferenceTable(actuals - forecasts)
-    magnitudes = table.magnitudes(min(config.n_cap, table.window))
+    magnitudes = table.magnitudes(config.n_cap)
     delta_path = config.output_path("delta_table")
     pio.write_delta_table_csv(delta_path, magnitudes)
     print(f"anchor entry {entry} (forecasting entry {entry + 1})")
@@ -237,7 +237,9 @@ def cmd_survey(config: RunConfig, args: argparse.Namespace) -> int:
     series = _load_series(config)
     space = _embed(config, series)
     fmap = pio.load_map(config.output_path("map"))
-    entries = equally_spaced(config.survey_start, config.survey_stop, config.survey_step)
+    entries = range(config.survey_start, config.survey_stop + 1, config.survey_step)
+    if entries:
+        check_anchors(entries, entries[0], entries[-1], space, config.window)
     report = survey(
         fmap,
         series,

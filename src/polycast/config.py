@@ -7,6 +7,7 @@ are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, Mapping
@@ -21,20 +22,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _key(key: str, default):
-    """A field default that carries the field's dotted configuration key."""
-    return field(default=default, metadata={"key": key})
-
-
-# Output name -> file name under output.dir when output.<name> is empty.
-_OUTPUT_FILES = {
-    "series": "series.csv",
-    "map": "map.txt",
-    "report": "survey.csv",
-    "log_ratio": "log_ratio.csv",
-    "delta_table": "delta_table.csv",
-    "phase_space": "phase_space.csv",
-}
+def _key(key: str, default, positive: bool = False, file: str = ""):
+    """A field default that carries the field's dotted configuration key
+    and its rules: ``positive``, or an output's default ``file`` name
+    under output.dir."""
+    return field(
+        default=default, metadata={"key": key, "positive": positive, "file": file}
+    )
 
 
 @dataclass(frozen=True)
@@ -50,53 +44,50 @@ class RunConfig:
 
     input: str = _key("input", "lorenz")
     output_dir: str = _key("output.dir", "out")
-    series_file: str = _key("output.series", "")
-    map_file: str = _key("output.map", "")
-    report_file: str = _key("output.report", "")
-    log_ratio_file: str = _key("output.log_ratio", "")
-    delta_table_file: str = _key("output.delta_table", "")
-    phase_space_file: str = _key("output.phase_space", "")
+    series_file: str = _key("output.series", "", file="series.csv")
+    map_file: str = _key("output.map", "", file="map.txt")
+    report_file: str = _key("output.report", "", file="survey.csv")
+    log_ratio_file: str = _key("output.log_ratio", "", file="log_ratio.csv")
+    delta_table_file: str = _key("output.delta_table", "", file="delta_table.csv")
+    phase_space_file: str = _key("output.phase_space", "", file="phase_space.csv")
     sigma: float = _key("lorenz.sigma", 10.0)
     r: float = _key("lorenz.r", 28.0)
     b: float = _key("lorenz.b", 8.0 / 3.0)
-    dt: float = _key("lorenz.dt", 0.01)
-    steps: int = _key("lorenz.steps", 600)
-    substeps: int = _key("lorenz.substeps", 10)
+    dt: float = _key("lorenz.dt", 0.01, positive=True)
+    steps: int = _key("lorenz.steps", 600, positive=True)
+    substeps: int = _key("lorenz.substeps", 10, positive=True)
     x1: float = _key("lorenz.x1", -0.3336666667)
     x2: float = _key("lorenz.x2", -0.3336666667)
     x3: float = _key("lorenz.x3", 21.9996666667)
-    lag: int = _key("embedding.lag", 6)
-    dimension: int = _key("embedding.dimension", 3)
-    degree: int = _key("fit.degree", 2)
+    lag: int = _key("embedding.lag", 6, positive=True)
+    dimension: int = _key("embedding.dimension", 3, positive=True)
+    degree: int = _key("fit.degree", 2, positive=True)
     include_constant: bool = _key("fit.constant", False)
-    folds: int = _key("fit.folds", 10)
-    train_start: int = _key("fit.train_start", 1)
+    folds: int = _key("fit.folds", 10, positive=True)
+    train_start: int = _key("fit.train_start", 1, positive=True)
     train_stop: int = _key("fit.train_stop", 0)
-    outputs: int = _key("fit.outputs", 1)
-    window: int = _key("correction.window", 40)
-    n_cap: int = _key("correction.n_cap", 30)
+    outputs: int = _key("fit.outputs", 1, positive=True)
+    window: int = _key("correction.window", 40, positive=True)
+    n_cap: int = _key("correction.n_cap", 30, positive=True)
     survey_start: int = _key("survey.start", 300)
     survey_stop: int = _key("survey.stop", 500)
-    survey_step: int = _key("survey.step", 10)
+    survey_step: int = _key("survey.step", 10, positive=True)
     forecast_entry: int = _key("forecast.entry", 0)
 
     def __post_init__(self):
-        positive = (
-            "steps", "substeps", "lag", "dimension", "degree", "folds",
-            "train_start", "outputs", "window", "n_cap", "survey_step",
-        )
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{KEY_FOR_FIELD[name]} must be >= 1")
-        if self.dt <= 0:
-            raise ValueError("lorenz.dt must be positive")
+        for f in fields(self):
+            value, key = getattr(self, f.name), f.metadata["key"]
+            if type(f.default) is float and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+            if f.metadata["positive"] and value <= 0:
+                rule = "positive" if type(f.default) is float else ">= 1"
+                raise ValueError(f"{key} must be {rule}")
 
     def output_path(self, name: str) -> str:
         """The ``output.<name>`` file; when that is empty, the file's
         default name under the output directory."""
-        return getattr(self, f"{name}_file") or str(
-            Path(self.output_dir) / _OUTPUT_FILES[name]
-        )
+        f = self.__dataclass_fields__[f"{name}_file"]
+        return getattr(self, f.name) or str(Path(self.output_dir) / f.metadata["file"])
 
     def with_settings(self, mapping: Mapping[str, str]) -> "RunConfig":
         """A copy with dotted-key settings applied (values given as text)."""
@@ -120,8 +111,6 @@ KEYS = {
     f.metadata["key"]: (f.name, _PARSERS[type(f.default)])
     for f in fields(RunConfig)
 }
-
-KEY_FOR_FIELD = {field_name: key for key, (field_name, _) in KEYS.items()}
 
 
 def parse_config_text(text: str) -> Dict[str, str]:

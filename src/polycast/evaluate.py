@@ -93,6 +93,25 @@ def error_window(
     return actuals, forecasts
 
 
+def check_anchors(
+    entries: Iterable[int], first: int, last: int, space: PhaseSpace, window: int
+) -> None:
+    """Refuse anchor entries without a full correction window of size
+    ``window`` or a forecast point inside the series.  ``first`` and
+    ``last`` are the least and greatest entry; ``entries`` is read only to
+    name the first refused one, so a long ascending range costs nothing."""
+    span = space.params.window_span
+    lo, hi = window + span + 2, space.point_count + span
+    if lo <= first and last <= hi:
+        return
+    bad = next(entry for entry in entries if not lo <= entry <= hi)
+    raise ValueError(
+        f"anchor entry {bad} does not admit a correction window of size "
+        f"{window} and a forecast point inside the series (valid anchors: "
+        f"{lo}..{hi})"
+    )
+
+
 def _forecast_batch(
     fmap: PolynomialMap,
     series: TimeSeries,
@@ -116,12 +135,7 @@ def _forecast_batch(
     entries = points + span + 2  # 1-based anchor labels
     first, last = int(points.min()), int(points.max())
     if first < window or last >= space.point_count - 1:
-        bad = entries[(points < window) | (points >= space.point_count - 1)][0]
-        raise ValueError(
-            f"anchor entry {bad} does not admit a correction window of size "
-            f"{window} and a forecast point inside the series (valid anchors: "
-            f"{window + span + 2}..{space.point_count + span})"
-        )
+        check_anchors(entries, first + span + 2, last + span + 2, space, window)
     # Point r forecasts series index r + span + 1.  Each anchor's window
     # holds the errors of points anchor - window .. anchor, which sit at
     # errors[at - window : at + 1].

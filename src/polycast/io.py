@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import os
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,13 +33,26 @@ def _open_out(path):
     return open(path, "w", newline="")
 
 
-def write_series_csv(path, series: TimeSeries) -> None:
-    """Write columns ``i,x`` with i counting samples from 0."""
+def _cell(value):
+    """Floats with 17 significant digits and flag sets joined with ``|`` in
+    sorted order; anything else as csv writes it, None as an empty cell."""
+    if isinstance(value, (float, np.floating)):
+        return _fmt(value)
+    if isinstance(value, frozenset):
+        return "|".join(sorted(value))
+    return value
+
+
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with _open_out(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["i", series.name or "x"])
-        for i, value in enumerate(series.values):
-            writer.writerow([i, _fmt(value)])
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+
+
+def write_series_csv(path, series: TimeSeries) -> None:
+    """Write columns ``i,x`` with i counting samples from 0."""
+    _write_csv(path, ["i", series.name or "x"], enumerate(series.values))
 
 
 def read_series_csv(path) -> TimeSeries:
@@ -69,61 +83,29 @@ def read_series_csv(path) -> TimeSeries:
 
 
 def write_phase_space_csv(path, space: PhaseSpace) -> None:
-    with _open_out(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["i"] + [f"x{j + 1}" for j in range(space.params.dimension)]
-        )
-        for i, point in enumerate(space.points):
-            writer.writerow([i] + [_fmt(v) for v in point])
+    header = ["i"] + [f"x{j + 1}" for j in range(space.params.dimension)]
+    rows = ((i, *point) for i, point in enumerate(space.points))
+    _write_csv(path, header, rows)
+
+
+_REPORT_COLUMNS = ("entry", "actual", "gf_forecast", "igf_forecast", "k_star",
+                   "gf_error_pct", "igf_error_pct", "flags")
 
 
 def write_report_csv(path, report: SurveyReport) -> None:
     """One row per forecast record; empty cells where values are unknown."""
-    with _open_out(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "entry",
-                "actual",
-                "gf_forecast",
-                "igf_forecast",
-                "k_star",
-                "gf_error_pct",
-                "igf_error_pct",
-                "flags",
-            ]
-        )
-        for rec in report.records:
-            writer.writerow(
-                [
-                    rec.entry,
-                    "" if rec.actual is None else _fmt(rec.actual),
-                    _fmt(rec.gf_forecast),
-                    _fmt(rec.igf_forecast),
-                    "" if rec.k_star is None else rec.k_star,
-                    "" if rec.gf_error_pct is None else _fmt(rec.gf_error_pct),
-                    "" if rec.igf_error_pct is None else _fmt(rec.igf_error_pct),
-                    "|".join(sorted(rec.flags)),
-                ]
-            )
+    rows = map(attrgetter(*_REPORT_COLUMNS), report.records)
+    _write_csv(path, _REPORT_COLUMNS, rows)
 
 
 def write_log_ratio_csv(path, report: SurveyReport) -> None:
-    with _open_out(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entry", "log_ratio"])
-        for point in report.log_ratio:
-            writer.writerow([point.entry, _fmt(point.value)])
+    rows = ((point.entry, point.value) for point in report.log_ratio)
+    _write_csv(path, ["entry", "log_ratio"], rows)
 
 
 def write_delta_table_csv(path, magnitudes: Sequence[float]) -> None:
     """Write the |Delta^k eps| column, k from 0, for correction diagnostics."""
-    with _open_out(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "abs_delta_k"])
-        for k, mag in enumerate(magnitudes):
-            writer.writerow([k, _fmt(mag)])
+    _write_csv(path, ["k", "abs_delta_k"], enumerate(magnitudes))
 
 
 def save_map(path, fmap: PolynomialMap) -> None:

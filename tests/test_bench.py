@@ -175,6 +175,25 @@ def test_near_zero_actual_flagged_and_excludable(pipeline):
     assert len(report.records) == 3
 
 
+def test_near_zero_threshold_is_exclusive(pipeline):
+    # an actual of exactly NEAR_ZERO_THRESHOLD is not near zero; the next
+    # float below it is.  The anchor's window ends before its target, so
+    # only the actual and the errors may change.
+    series, space, fmap = pipeline
+    entry = 330
+    plain = survey(fmap, series, space, (entry,)).records[0]
+    for actual, flagged in ((NEAR_ZERO_THRESHOLD, False),
+                            (np.nextafter(NEAR_ZERO_THRESHOLD, 0.0), True)):
+        doctored = series.values.copy()
+        doctored[entry] = actual
+        d_series = TimeSeries(doctored)
+        rec = survey(fmap, d_series, reconstruct(d_series, space.params),
+                     (entry,)).records[0]
+        assert rec.actual == actual
+        assert (FLAG_NEAR_ZERO_ACTUAL in rec.flags) is flagged
+        assert rec[:4] == plain[:4]
+
+
 def test_no_plateau_fallback_flag():
     # Against a zero map the error window is the raw actuals.  Planting
     # eps(P-j) = 2^-j there makes every anchor delta exactly 2^-k (each

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, precedence, exit codes."""
 
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +290,28 @@ def test_survey_report_rows(tmp_path, capsys):
     report = _series_lines(tmp_path / "out" / "survey.csv")
     assert len(report) == 22
     assert (tmp_path / "out" / "log_ratio.csv").exists()
+
+
+def test_survey_huge_range_refused_before_enumerating(tmp_path):
+    # 10^8 anchors would need gigabytes; the range is checked against the
+    # series first, in a child capped at 1.5 GB of address space and 5 s
+    _fit_default(tmp_path)
+    child = (
+        "import resource, signal, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+        "signal.alarm(5)\n"
+        "from polycast.cli import main\n"
+        "sys.exit(main(['survey', '--set', 'survey.stop=1000000000']))\n"
+    )
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env.pop("POLYCAST_OUTPUT_DIR", None)
+    done = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_IO, done.stderr
+    assert ("anchor entry 610 does not admit a correction window of size 40 "
+            "and a forecast point inside the series (valid anchors: 54..600)"
+            in done.stderr)
 
 
 def test_survey_reproducible_byte_for_byte(tmp_path):

@@ -5,11 +5,22 @@ from pathlib import Path
 
 import pytest
 
+from polycast.cli import EXIT_IO, main
 from polycast.config import (
     KEYS,
     RunConfig,
     load_config,
     parse_config_text,
+)
+
+POSITIVE_KEYS = (
+    "lorenz.dt", "lorenz.steps", "lorenz.substeps", "embedding.lag",
+    "embedding.dimension", "fit.degree", "fit.folds", "fit.train_start",
+    "fit.outputs", "correction.window", "correction.n_cap", "survey.step",
+)
+FLOAT_KEYS = (
+    "lorenz.sigma", "lorenz.r", "lorenz.b", "lorenz.dt",
+    "lorenz.x1", "lorenz.x2", "lorenz.x3",
 )
 
 
@@ -85,6 +96,40 @@ def test_validation_of_ranges():
         RunConfig(dt=0.0)
     with pytest.raises(ValueError, match="survey.step"):
         RunConfig(survey_step=0)
+
+
+def _default(key):
+    return getattr(RunConfig(), KEYS[key][0])
+
+
+def test_exactly_the_positive_keys_reject_zero_and_below():
+    numeric = [key for key in KEYS if type(_default(key)) in (int, float)]
+    for key in numeric:
+        if key in POSITIVE_KEYS:
+            rule = "positive" if key == "lorenz.dt" else ">= 1"
+            for text in ("0", "-1"):
+                with pytest.raises(ValueError) as exc:
+                    RunConfig().with_settings({key: text})
+                assert str(exc.value) == f"{key} must be {rule}"
+        else:
+            cfg = RunConfig().with_settings({key: "0"})
+            assert getattr(cfg, KEYS[key][0]) == 0
+    assert set(POSITIVE_KEYS) <= set(numeric)
+    assert [k for k in numeric if type(_default(k)) is float] == list(FLOAT_KEYS)
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_float_settings_name_their_key(key, text, tmp_path,
+                                                  monkeypatch, capsys):
+    got = "inf" if text == "1e400" else text
+    with pytest.raises(ValueError) as exc:
+        RunConfig().with_settings({key: text})
+    assert str(exc.value) == f"{key} must be finite, got {got}"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("POLYCAST_OUTPUT_DIR", raising=False)
+    assert main(["generate", "--set", f"{key}={text}"]) == EXIT_IO
+    assert f"{key} must be finite" in capsys.readouterr().err
 
 
 def test_resolved_paths_follow_output_dir():

@@ -1,5 +1,6 @@
 """CSV and map-file round trips."""
 
+import csv
 import math
 import signal
 
@@ -133,6 +134,50 @@ def test_delta_table_csv(tmp_path):
     assert path.read_text().splitlines() == [
         "k,abs_delta_k", "0,4", "1,2", "2,1",
     ]
+
+
+# Each writer's table built around one cell value; None stands for an
+# unknown value where the table can hold one.
+_WRITERS = {
+    "series": lambda path, v: write_series_csv(path, TimeSeries([v])),
+    "phase_space": lambda path, v: write_phase_space_csv(
+        path, reconstruct(TimeSeries([v, 1.0, 2.0]), EmbeddingParams(1, 2))
+    ),
+    "report": lambda path, v: write_report_csv(path, SurveyReport(
+        (ForecastRecord(330, v, v, None, v, v, v),), v, v, ()
+    )),
+    "log_ratio": lambda path, v: write_log_ratio_csv(path, SurveyReport(
+        (), 0.0, 0.0, (LogRatioPoint(330, v, False),)
+    )),
+    "delta_table": lambda path, v: write_delta_table_csv(path, [v]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_writers_share_one_cell_rule(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    value = 0.1 + 0.2  # needs all 17 significant digits
+    _WRITERS[name](path, value)
+    data = path.read_bytes()
+    assert data.endswith(b"\r\n") and b"\n" not in data.replace(b"\r\n", b"")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert float(rows[1][1]) == value
+    if name in ("series", "phase_space"):
+        return  # series values are finite floats; nothing is unknown
+    _WRITERS[name](path, None)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][1] == ""
+
+
+def test_numpy_float32_cells_keep_17_digits(tmp_path):
+    path = tmp_path / "delta_table.csv"
+    value = np.float32(0.1)
+    write_delta_table_csv(path, [value])
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][1] == format(float(value), ".17g")
 
 
 def test_map_round_trip_bitwise(tmp_path, default_map):
