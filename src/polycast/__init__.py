@@ -52,7 +52,6 @@ from .dynamics import (
     lorenz_field,
     lorenz_series,
     rk4_integrate,
-    sample_coordinate,
 )
 from .embedding import (
     EmbeddingParams,

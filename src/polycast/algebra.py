@@ -404,6 +404,10 @@ class VectorField:
     def dimension(self) -> int:
         return len(self.components)
 
+    @property
+    def total_degree(self) -> int:
+        return max(c.total_degree for c in self.components)
+
     def evaluate(self, state: Sequence[float]) -> np.ndarray:
         state = np.asarray(state, dtype=float)
         if state.shape != (self.dimension,):

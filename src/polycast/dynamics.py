@@ -67,20 +67,12 @@ def lorenz_field(params: LorenzParams) -> VectorField:
 
 
 @dataclass(frozen=True)
-class TruncatedFlowMap:
-    """A one-step polynomial approximation of a field's time-``delta_t`` flow."""
+class TruncatedFlowMap(VectorField):
+    """A one-step polynomial approximation of a field's time-``delta_t`` flow,
+    whose ``evaluate`` advances a state by one step."""
 
     order: int
     delta_t: float
-    components: Tuple[Polynomial, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
-
-    @property
-    def total_degree(self) -> int:
-        return max(c.total_degree for c in self.components)
 
 
 def build_truncated_flow_map(
@@ -99,12 +91,12 @@ def build_truncated_flow_map(
             term = lie_derivative(field, term)
             acc = acc + term * (delta_t ** k / math.factorial(k))
         components.append(acc)
-    return TruncatedFlowMap(order, delta_t, tuple(components))
+    return TruncatedFlowMap(tuple(components), order, delta_t)
 
 
 def flow_step(fmap: TruncatedFlowMap, state: Sequence[float]) -> np.ndarray:
     """Advance ``state`` by one step of the truncated flow map."""
-    return VectorField(fmap.components).evaluate(state)
+    return fmap.evaluate(state)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,10 +108,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
 
 
 def rk4_integrate(
@@ -199,28 +187,17 @@ def _check_in_range(state: Tuple[float, ...], step: int) -> None:
         )
 
 
-def sample_coordinate(trajectory: Trajectory, coordinate: int) -> TimeSeries:
-    """Extract one coordinate of a trajectory as a scalar time series."""
-    if not 0 <= coordinate < trajectory.dimension:
-        raise ValueError(
-            f"coordinate {coordinate} out of range for dimension "
-            f"{trajectory.dimension}"
-        )
-    return TimeSeries(trajectory.states[:, coordinate], name=f"x{coordinate + 1}")
-
-
 def lorenz_series(
     params: LorenzParams = LorenzParams(),
     samples: int = 600,
     delta_t: float = 0.01,
     initial_state: Sequence[float] = DEFAULT_LORENZ_STATE,
     substeps: int = 10,
-    coordinate: int = 0,
 ) -> TimeSeries:
-    """Generate a sampled Lorenz coordinate series of length ``samples``."""
+    """Generate the Lorenz coordinate x1 as a series of length ``samples``."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     traj = rk4_integrate(
         lorenz_field(params), initial_state, delta_t, samples - 1, substeps
     )
-    return sample_coordinate(traj, coordinate)
+    return TimeSeries(traj.states[:, 0], name="x1")

@@ -79,15 +79,12 @@ def error_window(
 
     These are the inputs of the correction's difference table: entry j of
     either array belongs to the forecast made from point
-    point_index - window + j.
+    point_index - window + j.  The point must be one a forecast accepts.
     """
-    if point_index - window < 0:
-        raise ValueError(
-            f"correction window of size {window} extends before the series "
-            f"start at point {point_index}"
-        )
-    rows = np.arange(point_index - window, point_index + 1)
     span = space.params.window_span
+    entry = point_index + span + 2
+    check_anchors((entry,), entry, entry, space, window)
+    rows = np.arange(point_index - window, point_index + 1)
     forecasts = fmap.predict_many(space.points[rows])
     actuals = series.values[rows + span + 1]
     return actuals, forecasts
@@ -104,6 +101,11 @@ def check_anchors(
     lo, hi = window + span + 2, space.point_count + span
     if lo <= first and last <= hi:
         return
+    if lo > hi:
+        raise ValueError(
+            f"no anchor entry admits a correction window of size {window}: "
+            f"the series has {hi} entries and needs at least {lo}"
+        )
     bad = next(entry for entry in entries if not lo <= entry <= hi)
     raise ValueError(
         f"anchor entry {bad} does not admit a correction window of size "

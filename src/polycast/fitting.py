@@ -117,7 +117,7 @@ def build_design_matrix(
     Row j evaluates every basis monomial at point ``point_indices[j]``;
     the target is the series value at that point's forecast index, pulled
     back by ``target_lag_offset`` lags (0 fits the standard one-step
-    forecast component).
+    forecast component).  A monomial that overflows raises FitError.
     """
     if basis.variable_count != space.params.dimension:
         raise ValueError(
@@ -140,7 +140,13 @@ def build_design_matrix(
             f"forecast targets fall outside the series (indices "
             f"{targets.min()}..{targets.max()}, series length {len(series)})"
         )
-    matrix = basis.design_columns(space.points[point_indices])
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = basis.design_columns(space.points[point_indices])
+    if not np.isfinite(matrix).all():
+        raise FitError(
+            f"degree-{basis.max_degree} monomials overflow on a series whose "
+            f"largest magnitude is {np.abs(series.values).max():.3g}"
+        )
     return matrix, series.values[targets]
 
 

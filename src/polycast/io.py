@@ -9,6 +9,7 @@ bytes.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from operator import attrgetter
 from pathlib import Path
@@ -64,19 +65,25 @@ def read_series_csv(path) -> TimeSeries:
     """
     values = []
     name = ""
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            cell = row[-1].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                if values:
-                    raise ValueError(
-                        f"non-numeric value {cell!r} in {path}"
-                    ) from None
-                name = cell  # header row
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"cannot read {path} as CSV text: {exc}") from None
+    for number, row in enumerate(rows, 1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        cell = row[-1].strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            if values:
+                raise ValueError(f"non-numeric value {cell!r} in {path}") from None
+            name = cell  # header row
+            continue
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {cell!r} in {path}, row {number}")
+        values.append(value)
     if not values:
         raise ValueError(f"no numeric rows found in {path}")
     return TimeSeries(np.array(values), name=name)

@@ -77,6 +77,18 @@ def test_error_window_alignment(pipeline):
         error_window(fmap, series, space, 39, 40)
 
 
+def test_error_window_accepts_exactly_the_forecast_points(pipeline):
+    # a forecast accepts points window..point_count - 2 (anchors 54..600)
+    series, space, fmap = pipeline
+    last = space.point_count - 2
+    actuals, forecasts = error_window(fmap, series, space, last, 40)
+    assert len(actuals) == len(forecasts) == 41
+    assert actuals[-1] == series.values[-1]
+    for point in (space.point_count - 1, 39):
+        with pytest.raises(ValueError, match=r"valid anchors: 54\.\.600\)"):
+            error_window(fmap, series, space, point, 40)
+
+
 def test_forecast_record_bookkeeping(pipeline):
     series, space, fmap = pipeline
     point = 316
@@ -248,6 +260,13 @@ def test_log_ratio_series_values():
     assert points[2] == (3, -LOG_RATIO_CAP, True)
     assert points[3] == (4, 0.0, True)
     assert points[4] == (5, LOG_RATIO_CAP, True)
+
+
+def test_log_ratio_clips_a_finite_ratio_below_the_cap():
+    record = ForecastRecord(entry=7, gf_forecast=0.0, igf_forecast=0.0,
+                            k_star=0, actual=1.0, gf_error_pct=1e-30,
+                            igf_error_pct=1e30)
+    assert log_ratio_series([record]) == ((7, -LOG_RATIO_CAP, True),)
 
 
 def test_equally_spaced():

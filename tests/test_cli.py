@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, precedence, exit codes."""
 
+import json
 import os
 import signal
 import subprocess
@@ -132,6 +133,16 @@ def test_fit_outputs_keep_a_dotted_directory(tmp_path, capsys):
     assert "-> results.v2/map_lag1\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("setting, text", [
+    ("fit.train_start=599",
+     "training range 599..140 is invalid for a series of 600 entries"),
+    ("fit.outputs=4", "fit.outputs must lie in 1..3, got 4"),
+])
+def test_fit_refuses_bad_training_settings(capsys, setting, text):
+    assert main(["fit", "--set", setting]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
 def test_fit_huge_degree_refused_without_building_the_basis(capsys):
     # the row count must be checked before a 10.8 million-term basis is built
     def too_slow(signum, frame):
@@ -247,6 +258,33 @@ def test_forecast_entry_out_of_range(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_single_valid_anchor(tmp_path, capsys):
+    # 54 entries leave exactly one anchor for window 40 and span 12
+    _fit_default(tmp_path)
+    capsys.readouterr()
+    short = ["--set", "lorenz.steps=54"]
+    assert main(["forecast", "--entry", "54", *short]) == EXIT_OK
+    assert "anchor entry 54 (forecasting entry 55)" in capsys.readouterr().out
+    assert main(["forecast", "--entry", "53", *short]) == EXIT_IO
+    assert "(valid anchors: 54..54)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, entries, needed", [
+    ("lorenz.steps=53", 53, 54),
+    ("correction.window=100000", 600, 100014),
+])
+def test_no_valid_anchor_is_named(tmp_path, capsys, setting, entries, needed):
+    _fit_default(tmp_path)
+    capsys.readouterr()
+    window = setting.split("=")[1] if setting.startswith("correction") else "40"
+    text = (f"error: no anchor entry admits a correction window of size "
+            f"{window}: the series has {entries} entries and needs at least "
+            f"{needed}\n")
+    for command in (["survey"], ["forecast", "--entry", "330"]):
+        assert main([*command, "--set", setting]) == EXIT_IO
+        assert capsys.readouterr().err == text
+
+
 def test_forecast_missing_map(tmp_path, capsys):
     assert main(["forecast", "--entry", "330"]) == EXIT_IO
 
@@ -312,6 +350,85 @@ def test_survey_huge_range_refused_before_enumerating(tmp_path):
     assert ("anchor entry 610 does not admit a correction window of size 40 "
             "and a forecast point inside the series (valid anchors: 54..600)"
             in done.stderr)
+
+
+_SERIES_FILE_CHILD = """
+import contextlib, io, json, sys, traceback
+from polycast.cli import main
+runs = []
+for name in sys.argv[1:]:
+    for command in (["fit", "--set", "output.map=refit.txt"],
+                    ["forecast", "--entry", "330"], ["survey"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(err):
+            try:
+                rc = main([*command, "--set", "input=" + name])
+            except Exception:
+                traceback.print_exc()
+                rc = 1
+        runs.append((name, command[0], rc, err.getvalue()))
+print(json.dumps(runs))
+"""
+
+# file -> (exit code of fit, of forecast and survey, text of the last
+# stderr line of fit, of forecast and survey)
+_SERIES_FILES = {
+    "empty.csv": (EXIT_IO, EXIT_IO, "no numeric rows", "no numeric rows"),
+    "header.csv": (EXIT_IO, EXIT_IO, "no numeric rows", "no numeric rows"),
+    "constant.csv": (EXIT_NUMERICAL, EXIT_OK, "rank deficient", None),
+    "short20.csv": (EXIT_NUMERICAL, EXIT_IO, "0 usable rows",
+                    "no anchor entry admits"),
+    "short150.csv": (EXIT_OK, EXIT_IO, None, "valid anchors: 54..150"),
+    "nan.csv": (EXIT_IO, EXIT_IO, "'nan' in nan.csv, row 6",
+                "'nan' in nan.csv, row 6"),
+    "binary.csv": (EXIT_IO, EXIT_IO, "cannot read binary.csv as CSV text",
+                   "cannot read binary.csv as CSV text"),
+    "huge.csv": (EXIT_NUMERICAL, EXIT_IO, "degree-2 monomials overflow",
+                 "contains non-finite values"),
+    "tiny.csv": (EXIT_NUMERICAL, EXIT_OK, "rank deficient", None),
+}
+
+
+def test_series_file_table(tmp_path, default_series):
+    # fit, forecast and survey on each hostile series file, in one child
+    # process so that warnings print as they would for a user
+    _fit_default(tmp_path)
+    values = default_series.values
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "header.csv").write_text("i,x1\n")
+    for name, column in (("constant.csv", np.full(600, 1.5)),
+                         ("short20.csv", values[:20]),
+                         ("short150.csv", values[:150]),
+                         ("nan.csv", values),
+                         ("huge.csv", values * 1e200),
+                         ("tiny.csv", values * 1e-300)):
+        pio.write_series_csv(tmp_path / name, pc.TimeSeries(column, name="x1"))
+    lines = (tmp_path / "nan.csv").read_text().splitlines(keepends=True)
+    lines[5] = "4,nan\n"
+    (tmp_path / "nan.csv").write_text("".join(lines))
+    (tmp_path / "binary.csv").write_bytes(bytes(range(256)))
+
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env.pop("POLYCAST_OUTPUT_DIR", None)
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _SERIES_FILE_CHILD, *_SERIES_FILES],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    runs = json.loads(done.stdout)
+    assert len(runs) == 3 * len(_SERIES_FILES)
+    for name, command, rc, err in runs:
+        fit_rc, use_rc, fit_text, use_text = _SERIES_FILES[name]
+        want_rc, want_text = (fit_rc, fit_text) if command == "fit" else (
+            use_rc, use_text)
+        assert (rc, "Traceback" in err) == (want_rc, False), (name, command, err)
+        if rc != EXIT_OK:
+            last = err.splitlines()[-1]
+            assert last.startswith("error: ") and want_text in last, (
+                name, command, err)
 
 
 def test_survey_reproducible_byte_for_byte(tmp_path):

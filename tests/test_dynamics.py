@@ -17,7 +17,6 @@ from polycast import (
     lorenz_field,
     lorenz_series,
     rk4_integrate,
-    sample_coordinate,
 )
 
 from helpers import reference_evaluate, reference_rk4
@@ -75,6 +74,17 @@ def test_map_metadata():
     assert fmap.order == 2
     assert fmap.delta_t == 0.02
     assert fmap.dimension == 3
+
+
+def test_flow_map_is_a_vector_field():
+    fmap = build_truncated_flow_map(lorenz_field(LorenzParams()), 3, 0.01)
+    assert isinstance(fmap, VectorField)
+    assert fmap.total_degree == 4
+    state = DEFAULT_LORENZ_STATE
+    assert np.array_equal(flow_step(fmap, state), fmap.evaluate(state))
+    assert np.array_equal(
+        fmap.evaluate(state), VectorField(fmap.components).evaluate(state)
+    )
 
 
 def test_linear_field_map_coefficient_is_partial_exponential():
@@ -151,7 +161,6 @@ def test_rk4_scalar_linear_closed_form():
     traj = rk4_integrate(field, (x0,), h, 7)
     assert traj.states[-1, 0] == pytest.approx(x0 * factor**7, rel=1e-12)
     assert len(traj) == 8
-    assert traj.dimension == 1
 
 
 def test_rk4_substeps_bit_equivalence():
@@ -267,17 +276,6 @@ def test_lorenz_trajectory_stays_bounded():
         lorenz_field(LorenzParams()), DEFAULT_LORENZ_STATE, 0.01, 599, substeps=10
     )
     assert np.max(np.abs(traj.states)) < 60.0
-
-
-def test_sample_coordinate():
-    traj = rk4_integrate(
-        lorenz_field(LorenzParams()), DEFAULT_LORENZ_STATE, 0.01, 9, substeps=10
-    )
-    series = sample_coordinate(traj, 1)
-    assert series.name == "x2"
-    assert np.array_equal(series.values, traj.states[:, 1])
-    with pytest.raises(ValueError):
-        sample_coordinate(traj, 3)
 
 
 def test_lorenz_series_defaults_and_determinism():

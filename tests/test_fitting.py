@@ -126,6 +126,20 @@ def test_design_matrix_validation(default_series, default_space):
         )
 
 
+def test_design_matrix_overflow_is_a_fit_error(default_series):
+    # the squares of 1e201 overflow; the fit stops before LAPACK sees inf
+    series = TimeSeries(default_series.values * 1e200)
+    space = reconstruct(series, EmbeddingParams(6, 3))
+    basis = enumerate_monomials(3, 2, False)
+    with pytest.raises(FitError, match=r"^degree-2 monomials overflow on a "
+                       r"series whose largest magnitude is 1\.68e\+201$"):
+        build_design_matrix(space, basis, series)
+    with pytest.raises(FitError, match="overflow"):
+        fit_kfold(series, space, FitConfig(training_range=TRAIN_RANGE))
+    # degree 1 stays finite and fits
+    fit_kfold(series, space, FitConfig(degree=1, training_range=TRAIN_RANGE))
+
+
 def test_lstsq_identity_and_mean():
     assert np.allclose(
         fit_least_squares(np.eye(2), np.array([3.0, -1.0])), [3.0, -1.0]

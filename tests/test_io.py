@@ -82,6 +82,27 @@ def test_read_series_errors(tmp_path):
         read_series_csv(tmp_path / "missing.csv")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_read_series_names_file_and_row_of_non_finite_value(tmp_path, cell):
+    path = tmp_path / "holes.csv"
+    path.write_text(f"i,x\n0,1.5\n\n1,{cell}\n2,2.5\n")
+    with pytest.raises(ValueError) as info:
+        read_series_csv(path)
+    assert str(info.value) == f"non-finite value {cell!r} in {path}, row 4"
+
+
+@pytest.mark.parametrize("tail, reason", [
+    (bytes(range(128, 256)), "'utf-8' codec can't decode byte 0x80"),
+    (b"2," + b"9" * 200_000 + b"\n", "field larger than field limit"),
+], ids=["binary", "wide_field"])
+def test_read_series_names_file_it_cannot_parse(tmp_path, tail, reason):
+    path = tmp_path / "blob.csv"
+    path.write_bytes(b"i,x\n0,1.5\n" + tail)
+    with pytest.raises(ValueError) as info:
+        read_series_csv(path)
+    assert str(info.value).startswith(f"cannot read {path} as CSV text: {reason}")
+
+
 def test_trajectory_and_phase_space_csv(tmp_path):
     space = reconstruct(TimeSeries(np.arange(10.0)), EmbeddingParams(2, 3))
     ppath = tmp_path / "space.csv"
