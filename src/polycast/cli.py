@@ -21,6 +21,7 @@ from .algebra import monomial_label
 from .evaluate import (
     FLAG_NO_CORRECTION_NEEDED,
     check_anchors,
+    equally_spaced,
     error_window,
     forecast_improved,
     survey,
@@ -237,7 +238,7 @@ def cmd_survey(config: RunConfig, args: argparse.Namespace) -> int:
     series = _load_series(config)
     space = _embed(config, series)
     fmap = pio.load_map(config.output_path("map"))
-    entries = range(config.survey_start, config.survey_stop + 1, config.survey_step)
+    entries = equally_spaced(config.survey_start, config.survey_stop, config.survey_step)
     if entries:
         check_anchors(entries, entries[0], entries[-1], space, config.window)
     report = survey(
@@ -250,8 +251,8 @@ def cmd_survey(config: RunConfig, args: argparse.Namespace) -> int:
     )
     report_path = config.output_path("report")
     log_ratio_path = config.output_path("log_ratio")
-    pio.write_report_csv(report_path, report)
-    pio.write_log_ratio_csv(log_ratio_path, report)
+    pio.write_report_csv(report_path, report.records)
+    pio.write_log_ratio_csv(log_ratio_path, report.log_ratio)
     print(
         f"surveyed {len(report.records)} anchors "
         f"({config.survey_start}..{config.survey_stop} step {config.survey_step})"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +28,7 @@ FLAG_NEAR_ZERO_ACTUAL = "near_zero_actual"
 # such records are flagged rather than rejected.
 NEAR_ZERO_THRESHOLD = 1e-9
 
-# Log error ratios are clipped to +/- this when one error is zero.
+# Log error ratios are clipped to +/- this.
 LOG_RATIO_CAP = 50.0
 
 
@@ -224,47 +225,58 @@ class LogRatioPoint(NamedTuple):
 def log_ratio_series(records: Sequence[ForecastRecord]) -> Tuple[LogRatioPoint, ...]:
     """ln(gf_error / igf_error) per record with known errors.
 
-    A zero error on either side would give an infinite ratio; those
-    values are clipped to +/- ``LOG_RATIO_CAP`` and marked capped.
+    Values beyond +/- ``LOG_RATIO_CAP`` are clipped to it and marked
+    capped; a zero error on one side counts as an infinite ratio, and on
+    both sides as a capped 0.
     """
     out = []
     for rec in records:
-        if rec.gf_error_pct is None or rec.igf_error_pct is None:
-            continue
         gf, igf = rec.gf_error_pct, rec.igf_error_pct
-        if igf == 0.0 and gf == 0.0:
-            point = LogRatioPoint(rec.entry, 0.0, True)
-        elif igf == 0.0:
-            point = LogRatioPoint(rec.entry, LOG_RATIO_CAP, True)
-        elif gf == 0.0:
-            point = LogRatioPoint(rec.entry, -LOG_RATIO_CAP, True)
+        if gf is None or igf is None:
+            continue
+        if gf == 0.0 or igf == 0.0:
+            value, capped = LOG_RATIO_CAP * ((igf == 0.0) - (gf == 0.0)), True
         else:
-            raw = math.log(gf / igf)
-            if raw > LOG_RATIO_CAP:
-                point = LogRatioPoint(rec.entry, LOG_RATIO_CAP, True)
-            elif raw < -LOG_RATIO_CAP:
-                point = LogRatioPoint(rec.entry, -LOG_RATIO_CAP, True)
-            else:
-                point = LogRatioPoint(rec.entry, raw, False)
-        out.append(point)
+            value = math.log(gf / igf)
+            capped = abs(value) > LOG_RATIO_CAP
+            if capped:
+                value = math.copysign(LOG_RATIO_CAP, value)
+        out.append(LogRatioPoint(rec.entry, value, capped))
     return tuple(out)
+
+
+def _mean_known(errors: Iterable[float | None]) -> float:
+    """Mean of the known (not None) errors; nan when none is known."""
+    known = [error for error in errors if error is not None]
+    return float(np.mean(known)) if known else math.nan
 
 
 @dataclass(frozen=True)
 class SurveyReport:
-    """Forecasts over a set of anchors plus aggregate percentage errors."""
+    """Forecasts over a set of anchors.  The aggregates are read from the
+    records on first access: each mean covers every record with a known
+    actual, near-zero actuals included, so a mean can be ``inf``."""
 
     records: Tuple[ForecastRecord, ...]
-    mean_gf_error_pct: float
-    mean_igf_error_pct: float
-    log_ratio: Tuple[LogRatioPoint, ...]
+
+    @cached_property
+    def mean_gf_error_pct(self) -> float:
+        return _mean_known(rec.gf_error_pct for rec in self.records)
+
+    @cached_property
+    def mean_igf_error_pct(self) -> float:
+        return _mean_known(rec.igf_error_pct for rec in self.records)
+
+    @cached_property
+    def log_ratio(self) -> Tuple[LogRatioPoint, ...]:
+        return log_ratio_series(self.records)
 
 
-def equally_spaced(start: int, stop: int, step: int) -> Tuple[int, ...]:
+def equally_spaced(start: int, stop: int, step: int) -> range:
     """Anchor entries start, start+step, ... up to and including stop."""
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    return tuple(range(start, stop + 1, step))
+    return range(start, stop + 1, step)
 
 
 def survey(
@@ -275,29 +287,15 @@ def survey(
     window: int = 40,
     n_cap: int = 30,
 ) -> SurveyReport:
-    """Run corrected forecasts at many anchors and aggregate the errors.
+    """Run corrected forecasts at many anchors.
 
     ``entries`` are 1-based anchor entries; every one must admit a full
     correction window and an in-range forecast point.  All anchors are
     evaluated in one batch, and records follow the input order.
     Per-anchor plateau failures become flagged records rather than
-    aborting the survey.  Means cover every record with a known actual,
-    near-zero actuals included, so a mean can be ``inf``.
+    aborting the survey.
     """
     points = np.array(list(entries), dtype=int) - space.params.window_span - 2
-    records = _forecast_batch(
+    return SurveyReport(_forecast_batch(
         fmap, series, space, points, window, n_cap, fallback_on_no_plateau=True
-    )
-
-    included = [rec for rec in records if rec.gf_error_pct is not None]
-    if included:
-        mean_gf = float(np.mean([rec.gf_error_pct for rec in included]))
-        mean_igf = float(np.mean([rec.igf_error_pct for rec in included]))
-    else:
-        mean_gf = mean_igf = math.nan
-    return SurveyReport(
-        records=records,
-        mean_gf_error_pct=mean_gf,
-        mean_igf_error_pct=mean_igf,
-        log_ratio=log_ratio_series(records),
-    )
+    ))

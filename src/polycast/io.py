@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import enumerate_monomials, monomial_count
-from .evaluate import SurveyReport
+from .evaluate import ForecastRecord, LogRatioPoint
 from .embedding import PhaseSpace, TimeSeries
 from .fitting import PolynomialMap
 
@@ -99,14 +99,14 @@ _REPORT_COLUMNS = ("entry", "actual", "gf_forecast", "igf_forecast", "k_star",
                    "gf_error_pct", "igf_error_pct", "flags")
 
 
-def write_report_csv(path, report: SurveyReport) -> None:
+def write_report_csv(path, records: Iterable[ForecastRecord]) -> None:
     """One row per forecast record; empty cells where values are unknown."""
-    rows = map(attrgetter(*_REPORT_COLUMNS), report.records)
+    rows = map(attrgetter(*_REPORT_COLUMNS), records)
     _write_csv(path, _REPORT_COLUMNS, rows)
 
 
-def write_log_ratio_csv(path, report: SurveyReport) -> None:
-    rows = ((point.entry, point.value) for point in report.log_ratio)
+def write_log_ratio_csv(path, points: Iterable[LogRatioPoint]) -> None:
+    rows = map(attrgetter("entry", "value"), points)
     _write_csv(path, ["entry", "log_ratio"], rows)
 
 

@@ -18,6 +18,7 @@ from polycast import (
     NEAR_ZERO_THRESHOLD,
     NoPlateauError,
     PolynomialMap,
+    SurveyReport,
     TimeSeries,
     enumerate_monomials,
     corrected_forecast,
@@ -269,12 +270,36 @@ def test_log_ratio_clips_a_finite_ratio_below_the_cap():
     assert log_ratio_series([record]) == ((7, -LOG_RATIO_CAP, True),)
 
 
+def test_log_ratio_cap_is_inclusive():
+    # ln(e^50) is exactly LOG_RATIO_CAP, and ln(e^-50) exactly its
+    # negative: a ratio at the cap is kept as it is, not clipped
+    assert math.log(math.exp(LOG_RATIO_CAP)) == LOG_RATIO_CAP
+
+    def rec(entry, gf, igf):
+        return ForecastRecord(entry, 0.0, 0.0, 0, 1.0, gf, igf)
+
+    at_cap = math.exp(LOG_RATIO_CAP)
+    assert log_ratio_series([rec(1, at_cap, 1.0), rec(2, 1.0, at_cap)]) == (
+        (1, LOG_RATIO_CAP, False), (2, -LOG_RATIO_CAP, False),
+    )
+
+
+def test_log_ratio_of_two_infinite_errors_is_nan():
+    # an actual of exactly 0 makes both errors infinite; the ratio is
+    # undefined and is neither clipped nor marked capped
+    (point,) = log_ratio_series([ForecastRecord(
+        8, 0.0, 0.0, 0, 0.0, math.inf, math.inf)])
+    assert point.entry == 8 and math.isnan(point.value) and not point.capped
+
+
 def test_equally_spaced():
-    assert equally_spaced(300, 500, 10) == tuple(range(300, 501, 10))
-    assert equally_spaced(5, 5, 3) == (5,)
-    assert equally_spaced(5, 4, 1) == ()
+    assert equally_spaced(300, 500, 10) == range(300, 501, 10)
+    assert tuple(equally_spaced(5, 5, 3)) == (5,)
+    assert tuple(equally_spaced(5, 4, 1)) == ()
     with pytest.raises(ValueError):
         equally_spaced(1, 10, 0)
+    # a range, so a huge span costs nothing until it is read
+    assert len(equally_spaced(1, 10**12, 1)) == 10**12
 
 
 def test_survey_entry_validation(pipeline):
@@ -294,6 +319,29 @@ def test_survey_preserves_order_and_aggregates(pipeline):
     igf_errs = [rec.igf_error_pct for rec in report.records]
     assert report.mean_gf_error_pct == pytest.approx(np.mean(gf_errs), rel=1e-12)
     assert report.mean_igf_error_pct == pytest.approx(np.mean(igf_errs), rel=1e-12)
+
+
+def test_survey_means_skip_records_without_an_actual(pipeline):
+    # entry 600 is the series' last: its forecast target lies past the
+    # end, so it has no actual and no error, and no part in the means
+    series, space, fmap = pipeline
+    report = survey(fmap, series, space, (330, len(series)))
+    known, unknown = report.records
+    assert unknown.actual is None and unknown.gf_error_pct is None
+    assert report.mean_gf_error_pct == known.gf_error_pct
+    assert report.mean_igf_error_pct == known.igf_error_pct
+    assert [point.entry for point in report.log_ratio] == [330]
+
+
+def test_survey_report_derives_its_aggregates_from_its_records(pipeline):
+    series, space, fmap = pipeline
+    report = survey(fmap, series, space, equally_spaced(330, 530, 10))
+    again = SurveyReport(report.records)
+    assert again == report
+    assert again.mean_gf_error_pct == float(
+        np.mean([rec.gf_error_pct for rec in report.records]))
+    assert again.log_ratio == log_ratio_series(report.records)
+    assert again.log_ratio is again.log_ratio  # computed once
 
 
 def test_survey_deterministic(pipeline):

@@ -12,6 +12,7 @@ import pytest
 
 import polycast as pc
 import polycast.io as pio
+from polycast.config import KEYS
 from polycast.cli import (
     EXIT_IO,
     EXIT_NO_PLATEAU,
@@ -429,6 +430,75 @@ def test_series_file_table(tmp_path, default_series):
             last = err.splitlines()[-1]
             assert last.startswith("error: ") and want_text in last, (
                 name, command, err)
+
+
+_SETTINGS_CHILD = """
+import contextlib, io, json, resource, signal, sys, traceback
+from polycast.cli import main
+
+
+class Overran(BaseException):
+    pass
+
+
+def overran(signum, frame):
+    raise Overran
+
+
+resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+signal.signal(signal.SIGALRM, overran)
+runs = []
+for key, value in json.loads(sys.argv[1]):
+    for command in (["fit", "--set", "output.map=refit.txt"],
+                    ["forecast", "--entry", "330"], ["survey"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(err):
+            signal.alarm(5)
+            try:
+                rc = main([*command, "--set", f"{key}={value}"])
+            except Overran:
+                rc = "overran"
+            except Exception:
+                traceback.print_exc()
+                rc = 1
+            finally:
+                signal.alarm(0)
+        runs.append((key, value, command[0], rc, err.getvalue()))
+print(json.dumps(runs))
+"""
+
+_HOSTILE_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "1000000000", "")
+# The generator's time and memory grow with lorenz.steps x lorenz.substeps,
+# as the README says; 10^9 of either is a long run the user asked for.
+_LONG_RUNS = {("lorenz.steps", "1000000000"), ("lorenz.substeps", "1000000000")}
+
+
+def test_hostile_settings_table(tmp_path):
+    # every key but the file names, with each hostile value, through fit,
+    # forecast and survey in one child capped at 1.5 GB and 5 s per run
+    _fit_default(tmp_path)
+    settings = [
+        (key, value) for key in KEYS
+        if key != "input" and not key.startswith("output.")
+        for value in _HOSTILE_VALUES if (key, value) not in _LONG_RUNS
+    ]
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env.pop("POLYCAST_OUTPUT_DIR", None)
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _SETTINGS_CHILD, json.dumps(settings)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    runs = json.loads(done.stdout)
+    assert len(runs) == 3 * len(settings)
+    for key, value, command, rc, err in runs:
+        assert rc in (EXIT_OK, EXIT_NO_PLATEAU, EXIT_IO, EXIT_NUMERICAL), (
+            key, value, command, rc, err)
+        assert "Traceback" not in err and "Warning" not in err, (
+            key, value, command, err)
 
 
 def test_survey_reproducible_byte_for_byte(tmp_path):

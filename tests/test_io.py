@@ -1,7 +1,6 @@
 """CSV and map-file round trips."""
 
 import csv
-import math
 import signal
 
 import numpy as np
@@ -124,13 +123,12 @@ def _report():
             flags=frozenset({"no_plateau"}),
         ),
     )
-    points = (LogRatioPoint(330, math.log(6.0), False),)
-    return SurveyReport(records, 37.5, 6.25, points)
+    return SurveyReport(records)
 
 
 def test_report_csv(tmp_path):
     path = tmp_path / "report.csv"
-    write_report_csv(path, _report())
+    write_report_csv(path, _report().records)
     lines = path.read_text().splitlines()
     assert lines[0] == (
         "entry,actual,gf_forecast,igf_forecast,k_star,"
@@ -143,7 +141,7 @@ def test_report_csv(tmp_path):
 
 def test_log_ratio_csv(tmp_path):
     path = tmp_path / "lr.csv"
-    write_log_ratio_csv(path, _report())
+    write_log_ratio_csv(path, _report().log_ratio)
     lines = path.read_text().splitlines()
     assert lines[0] == "entry,log_ratio"
     assert lines[1].startswith("330,1.79175946922805")
@@ -164,12 +162,12 @@ _WRITERS = {
     "phase_space": lambda path, v: write_phase_space_csv(
         path, reconstruct(TimeSeries([v, 1.0, 2.0]), EmbeddingParams(1, 2))
     ),
-    "report": lambda path, v: write_report_csv(path, SurveyReport(
-        (ForecastRecord(330, v, v, None, v, v, v),), v, v, ()
-    )),
-    "log_ratio": lambda path, v: write_log_ratio_csv(path, SurveyReport(
-        (), 0.0, 0.0, (LogRatioPoint(330, v, False),)
-    )),
+    "report": lambda path, v: write_report_csv(
+        path, (ForecastRecord(330, v, v, None, v, v, v),)
+    ),
+    "log_ratio": lambda path, v: write_log_ratio_csv(
+        path, (LogRatioPoint(330, v, False),)
+    ),
     "delta_table": lambda path, v: write_delta_table_csv(path, [v]),
 }
 

@@ -115,6 +115,14 @@ MUTANTS = (
            "if not np.isfinite(matrix).all():",
            "if False:",
            "an overflowing design matrix reaches LAPACK"),
+    Mutant("evaluate.py",
+           "capped = abs(value) > LOG_RATIO_CAP",
+           "capped = abs(value) >= LOG_RATIO_CAP",
+           "a log ratio exactly at the cap is marked capped"),
+    Mutant("evaluate.py",
+           "known = [error for error in errors if error is not None]",
+           "known = list(errors)",
+           "survey means include records without an actual"),
 )
 
 
