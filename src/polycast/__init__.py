@@ -46,7 +46,6 @@ from .dynamics import (
     BlowupError,
     LorenzParams,
     Trajectory,
-    TruncatedFlowMap,
     build_truncated_flow_map,
     flow_step,
     lorenz_field,

@@ -239,22 +239,42 @@ class Polynomial:
             )
         return self._compiled(*[float(x) for x in point])[0]
 
-    def __call__(self, point: Sequence[float]) -> float:
-        return self.evaluate(point)
-
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """An ordered set of monomials over a fixed number of variables.
-
-    ``monomials`` is always in graded-lexicographic order and, when
-    ``include_constant`` is false, omits the degree-0 monomial.
-    """
+    """All monomials over ``variable_count`` variables of total degree at
+    most ``max_degree``, less the degree-0 one unless ``include_constant``;
+    ``size`` counts them without listing them, and ``monomials`` lists
+    them in graded-lexicographic order on first access."""
 
     variable_count: int
     max_degree: int
-    include_constant: bool
-    monomials: Tuple[Monomial, ...]
+    include_constant: bool = True
+
+    def __post_init__(self):
+        if self.variable_count < 1:
+            raise ValueError(f"variable_count must be >= 1, got {self.variable_count}")
+        if self.max_degree < 0:
+            raise ValueError(f"max_degree must be >= 0, got {self.max_degree}")
+
+    @property
+    def size(self) -> int:
+        """C(max_degree + n, n) for n variables, less one without the constant."""
+        n = self.variable_count
+        return math.comb(self.max_degree + n, n) - (not self.include_constant)
+
+    @cached_property
+    def monomials(self) -> Tuple[Monomial, ...]:
+        n = self.variable_count
+        monos = []
+        for degree in range(0 if self.include_constant else 1, self.max_degree + 1):
+            for combo in combinations_with_replacement(range(n), degree):
+                exps = [0] * n
+                for var in combo:
+                    exps[var] += 1
+                monos.append(tuple(exps))
+        monos.sort(key=grlex_key)
+        return tuple(monos)
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -351,36 +371,8 @@ def _in_numpy(fn: Callable[..., Tuple[float, ...]], args: tuple) -> Tuple[float,
         return tuple(float(v) for v in fn(*[np.float64(a) for a in args]))
 
 
-def monomial_count(
-    variable_count: int, max_degree: int, include_constant: bool = True
-) -> int:
-    """Size of enumerate_monomials' basis, counted without building it:
-    C(max_degree + n, n) for n variables, one fewer without the constant.
-    """
-    if variable_count < 1:
-        raise ValueError(f"variable_count must be >= 1, got {variable_count}")
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    full = math.comb(max_degree + variable_count, variable_count)
-    return full - (not include_constant)
-
-
-def enumerate_monomials(
-    variable_count: int, max_degree: int, include_constant: bool = True
-) -> MonomialBasis:
-    """All monomials of total degree <= ``max_degree``, graded-lex ordered;
-    monomial_count gives their number."""
-    monomial_count(variable_count, max_degree, include_constant)  # validates
-    monos = []
-    lo = 0 if include_constant else 1
-    for degree in range(lo, max_degree + 1):
-        for combo in combinations_with_replacement(range(variable_count), degree):
-            exps = [0] * variable_count
-            for var in combo:
-                exps[var] += 1
-            monos.append(tuple(exps))
-    monos.sort(key=grlex_key)
-    return MonomialBasis(variable_count, max_degree, include_constant, tuple(monos))
+# The older spelling of MonomialBasis(variable_count, max_degree, include_constant).
+enumerate_monomials = MonomialBasis
 
 
 @dataclass(frozen=True)

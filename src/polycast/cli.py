@@ -30,7 +30,7 @@ from .config import RunConfig, load_config
 from .correction import DifferenceTable, NoPlateauError
 from .dynamics import BlowupError, LorenzParams, lorenz_series
 from .embedding import EmbeddingParams, PhaseSpace, TimeSeries, reconstruct
-from .fitting import FitConfig, FitError, fit_kfold, usable_point_indices
+from .fitting import FitConfig, FitError, PolynomialMap, fit_kfold, usable_point_indices
 from . import io as pio
 
 EXIT_OK = 0
@@ -107,6 +107,17 @@ def _load_series(config: RunConfig) -> TimeSeries:
             substeps=config.substeps,
         )
     return pio.read_series_csv(config.input)
+
+
+def _load_map(config: RunConfig) -> PolynomialMap:
+    path = config.output_path("map")
+    fmap = pio.load_map(path)
+    if fmap.basis.variable_count != config.dimension:
+        raise ValueError(
+            f"{path}: the map is over {fmap.basis.variable_count} variables "
+            f"but embedding.dimension is {config.dimension}"
+        )
+    return fmap
 
 
 def _embed(config: RunConfig, series: TimeSeries) -> PhaseSpace:
@@ -200,7 +211,7 @@ def cmd_forecast(config: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError("forecast needs an anchor entry (--entry or forecast.entry)")
     series = _load_series(config)
     space = _embed(config, series)
-    fmap = pio.load_map(config.output_path("map"))
+    fmap = _load_map(config)
     entry = config.forecast_entry
     point = entry - space.params.window_span - 2
     record = forecast_improved(
@@ -237,7 +248,7 @@ def cmd_forecast(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_survey(config: RunConfig, args: argparse.Namespace) -> int:
     series = _load_series(config)
     space = _embed(config, series)
-    fmap = pio.load_map(config.output_path("map"))
+    fmap = _load_map(config)
     entries = equally_spaced(config.survey_start, config.survey_stop, config.survey_step)
     if entries:
         check_anchors(entries, entries[0], entries[-1], space, config.window)

@@ -129,6 +129,9 @@ def parse_config_text(text: str) -> Dict[str, str]:
 
 
 def load_config(path) -> RunConfig:
-    """Read a configuration file on top of the defaults."""
-    text = Path(path).read_text()
-    return RunConfig().with_settings(parse_config_text(text))
+    """Read a configuration file on top of the defaults.  A refusal of the
+    file's text, keys or values names the file."""
+    try:
+        return RunConfig().with_settings(parse_config_text(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

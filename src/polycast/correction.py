@@ -135,6 +135,13 @@ def corrected_forecast(
     return total
 
 
+def window_counts(flags: np.ndarray, ends: np.ndarray, window: int) -> np.ndarray:
+    """How many of flags[end - window : end + 1] are set, for each end in
+    ``ends``; the caller checks that window <= end < len(flags)."""
+    before = np.concatenate(([0], np.cumsum(flags)))
+    return before[ends + 1] - before[ends - window]
+
+
 def correct_block(
     gf: np.ndarray, errors: np.ndarray, ends: np.ndarray, window: int, n_cap: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,8 +170,7 @@ def correct_block(
     # window.  (np.count_nonzero costs a fraction of ndarray.any() on the
     # small arrays a single forecast has.)
     if np.count_nonzero(deltas[0]) < len(ends):
-        nonzero_before = np.concatenate(([0], np.cumsum(errors != 0.0)))
-        perfect = nonzero_before[ends + 1] == nonzero_before[ends - window]
+        perfect = window_counts(errors != 0.0, ends, window) == 0
     else:
         perfect = np.zeros(len(ends), dtype=bool)
     searching = ~perfect  # magnitudes still falling

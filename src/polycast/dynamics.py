@@ -66,19 +66,11 @@ def lorenz_field(params: LorenzParams) -> VectorField:
     return VectorField((comp1, comp2, comp3))
 
 
-@dataclass(frozen=True)
-class TruncatedFlowMap(VectorField):
-    """A one-step polynomial approximation of a field's time-``delta_t`` flow,
-    whose ``evaluate`` advances a state by one step."""
-
-    order: int
-    delta_t: float
-
-
 def build_truncated_flow_map(
     field: VectorField, order: int, delta_t: float
-) -> TruncatedFlowMap:
-    """Expand the Lie series of ``field`` to ``order`` for step ``delta_t``."""
+) -> VectorField:
+    """Expand the Lie series of ``field`` to ``order`` for step ``delta_t``:
+    a field whose ``evaluate`` advances a state by one step."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if not (delta_t > 0 and math.isfinite(delta_t)):
@@ -91,10 +83,10 @@ def build_truncated_flow_map(
             term = lie_derivative(field, term)
             acc = acc + term * (delta_t ** k / math.factorial(k))
         components.append(acc)
-    return TruncatedFlowMap(tuple(components), order, delta_t)
+    return VectorField(tuple(components))
 
 
-def flow_step(fmap: TruncatedFlowMap, state: Sequence[float]) -> np.ndarray:
+def flow_step(fmap: VectorField, state: Sequence[float]) -> np.ndarray:
     """Advance ``state`` by one step of the truncated flow map."""
     return fmap.evaluate(state)
 

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .correction import NoPlateauError, correct_block
+from .correction import NoPlateauError, correct_block, window_counts
 from .embedding import PhaseSpace, TimeSeries
 from .fitting import PolynomialMap
 
@@ -137,8 +137,7 @@ def _forecast_batch(
     span = space.params.window_span
     entries = points + span + 2  # 1-based anchor labels
     first, last = int(points.min()), int(points.max())
-    if first < window or last >= space.point_count - 1:
-        check_anchors(entries, first + span + 2, last + span + 2, space, window)
+    check_anchors(entries, first + span + 2, last + span + 2, space, window)
     # Point r forecasts series index r + span + 1.  Each anchor's window
     # holds the errors of points anchor - window .. anchor, which sit at
     # errors[at - window : at + 1].
@@ -150,8 +149,7 @@ def _forecast_batch(
     gf = fmap.predict_many(space.points[points + 1])
     finite = np.isfinite(errors)
     if not finite.all():
-        bad_before = np.concatenate(([0], np.cumsum(~finite)))
-        bad_window = bad_before[at + 1] > bad_before[at - window]
+        bad_window = window_counts(~finite, at, window) > 0
         if bad_window.any():
             raise ValueError(
                 f"epsilon window at anchor {entries[bad_window][0]} contains "

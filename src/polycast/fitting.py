@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .algebra import MonomialBasis, enumerate_monomials, monomial_count
+from .algebra import MonomialBasis
 from .embedding import PhaseSpace, TimeSeries
 
 # Fits whose singular-value ratio s_min/s_max falls below this are
@@ -52,8 +52,7 @@ class PolynomialMap:
         object.__setattr__(self, "coefficients", coeffs)
 
     def predict(self, point: Sequence[float]) -> float:
-        columns = self.basis.design_columns(np.asarray(point))
-        return float((columns @ self.coefficients)[0])
+        return float(self.predict_many(point)[0])
 
     def predict_many(self, points: np.ndarray) -> np.ndarray:
         return self.basis.design_columns(points) @ self.coefficients
@@ -204,15 +203,14 @@ def fit_kfold(
     """
     m = space.params.dimension
     rows = usable_point_indices(space, series, config.training_range)
-    # count the basis before building it, which takes minutes at a high degree
-    terms = monomial_count(m, config.degree, config.include_constant)
-    if len(rows) < terms:
+    basis = MonomialBasis(m, config.degree, config.include_constant)
+    # size counts the basis; listing it takes minutes at a high degree
+    if len(rows) < basis.size:
         raise UnderdeterminedSystemError(
-            f"{len(rows)} usable rows cannot determine {terms} "
+            f"{len(rows)} usable rows cannot determine {basis.size} "
             f"coefficients (degree {config.degree}, constant "
             f"{config.include_constant})"
         )
-    basis = enumerate_monomials(m, config.degree, config.include_constant)
     parts = contiguous_folds(len(rows), config.folds)
     matrix, targets = build_design_matrix(
         space, basis, series, rows, target_lag_offset

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import enumerate_monomials, monomial_count
+from .algebra import MonomialBasis
 from .evaluate import ForecastRecord, LogRatioPoint
 from .embedding import PhaseSpace, TimeSeries
 from .fitting import PolynomialMap
@@ -133,12 +133,15 @@ def load_map(path) -> PolynomialMap:
 
     The file lists every monomial of the basis its header declares, one
     term line each, in any order.  Repeated monomials and a term-line
-    count other than the basis size are rejected before the basis is
-    built, so a header that declares a huge basis fails at once; unknown
-    monomials are rejected too.
+    count other than the basis size are rejected before the basis lists
+    its monomials, so a header that declares a huge basis fails at once;
+    unknown monomials and non-finite coefficients are rejected too.
     """
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path} as text: {exc}") from None
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing header line")
     header = {}
@@ -146,10 +149,10 @@ def load_map(path) -> PolynomialMap:
         key, _, value = token.partition("=")
         header[key] = value
     try:
-        degree = int(header["degree"])
-        m = int(header["m"])
-        constant = {"true": True, "false": False}[header["constant"].lower()]
-        size = monomial_count(m, degree, constant)
+        basis = MonomialBasis(
+            int(header["m"]), int(header["degree"]),
+            {"true": True, "false": False}[header["constant"].lower()],
+        )
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
     terms = {}
@@ -160,17 +163,18 @@ def load_map(path) -> PolynomialMap:
             mono = tuple(int(e) for e in parts[1:])
         except ValueError:
             raise ValueError(f"{path}: malformed term line {line!r}") from None
-        if len(mono) != m:
+        if len(mono) != basis.variable_count:
             raise ValueError(f"{path}: malformed term line {line!r}")
+        if not math.isfinite(coeff):
+            raise ValueError(f"{path}: non-finite coefficient in term line {line!r}")
         if mono in terms:
             raise ValueError(f"{path}: monomial {mono} appears more than once")
         terms[mono] = coeff
-    if len(terms) != size:
+    if len(terms) != basis.size:
         raise ValueError(
-            f"{path}: the header declares {size} terms but the file has "
+            f"{path}: the header declares {basis.size} terms but the file has "
             f"{len(terms)} term lines"
         )
-    basis = enumerate_monomials(m, degree, constant)
     known = set(basis.monomials)
     for mono in terms:
         if mono not in known:

@@ -432,6 +432,78 @@ def test_series_file_table(tmp_path, default_series):
                 name, command, err)
 
 
+_MAP_FILE_CHILD = """
+import contextlib, io, json, sys, traceback
+from polycast.cli import main
+runs = []
+for name in sys.argv[1:]:
+    for command in (["forecast", "--entry", "330"], ["survey"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(err):
+            try:
+                rc = main([*command, "--set", "output.map=" + name])
+            except Exception:
+                traceback.print_exc()
+                rc = 1
+        runs.append((name, command[0], rc, err.getvalue()))
+print(json.dumps(runs))
+"""
+
+# map file -> text of the last stderr line of forecast and survey
+_MAP_FILES = {
+    "empty.txt": "empty.txt: missing header line",
+    "header.txt": "header.txt: the header declares 9 terms but the file has 0",
+    "binary.txt": "cannot read binary.txt as text",
+    "nan.txt": "nan.txt: non-finite coefficient in term line 'nan 1 0 0'",
+    "neginf.txt": "neginf.txt: non-finite coefficient in term line '-inf 0 1 0'",
+    "m2.txt": ("m2.txt: the map is over 2 variables but embedding.dimension "
+               "is 3"),
+    "degree400.txt": "degree400.txt: the header declares 10827400 terms",
+    "repeated.txt": "repeated.txt: monomial (1, 0, 0) appears more than once",
+    "missing.txt": ("missing.txt: the header declares 9 terms but the file "
+                    "has 8 term lines"),
+    "unknown.txt": "unknown.txt: monomial (0, 3, 0) is not in the declared basis",
+}
+
+
+def test_map_file_table(tmp_path):
+    # forecast and survey on each hostile map file, in one child process
+    _fit_default(tmp_path)
+    header, *terms = (tmp_path / "out" / "map.txt").read_text().splitlines()
+    assert terms[0].endswith(" 1 0 0") and terms[-1].endswith(" 0 0 2")
+    contents = {
+        "empty.txt": [],
+        "header.txt": [header],
+        "nan.txt": [header, "nan 1 0 0", *terms[1:]],
+        "neginf.txt": [header, terms[0], "-inf 0 1 0", *terms[2:]],
+        "m2.txt": ["# degree=1 m=2 constant=false", "0.5 1 0", "0.25 0 1"],
+        "degree400.txt": ["# degree=400 m=3 constant=false"],
+        "repeated.txt": [header, *terms, terms[0]],
+        "missing.txt": [header, *terms[:-1]],
+        "unknown.txt": [header, *terms[:-1], "0.5 0 3 0"],
+    }
+    for name, lines in contents.items():
+        (tmp_path / name).write_text("".join(line + "\n" for line in lines))
+    (tmp_path / "binary.txt").write_bytes(bytes(range(256)))
+
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env.pop("POLYCAST_OUTPUT_DIR", None)
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _MAP_FILE_CHILD, *_MAP_FILES],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    runs = json.loads(done.stdout)
+    assert len(runs) == 2 * len(_MAP_FILES)
+    for name, command, rc, err in runs:
+        assert (rc, "Traceback" in err) == (EXIT_IO, False), (name, command, err)
+        last = err.splitlines()[-1]
+        assert last.startswith(f"error: {_MAP_FILES[name]}"), (name, command, err)
+
+
 _SETTINGS_CHILD = """
 import contextlib, io, json, resource, signal, sys, traceback
 from polycast.cli import main
@@ -523,6 +595,27 @@ def test_malformed_set(capsys):
 
 def test_missing_config_file(capsys):
     assert main(["generate", "--config", "nope.cfg"]) == EXIT_IO
+
+
+def test_config_file_refusals_name_the_file(tmp_path, capsys):
+    # file text -> the start of the refusal after "error: run.cfg: "
+    table = {
+        b"\x80\x81 = 1\n": "'utf-8' codec can't decode byte 0x80",
+        b"lorenz.steps = 60\nnot a line\n":
+            "line 2: expected 'key = value', got 'not a line'",
+        b"fit.degre = 3\n": "unknown configuration key 'fit.degre'",
+        b"fit.degree = two\n": "bad value for fit.degree: ",
+        b"lorenz.dt = 0\n": "lorenz.dt must be positive",
+    }
+    for text, message in table.items():
+        (tmp_path / "run.cfg").write_bytes(text)
+        assert main(["generate", "--config", "run.cfg"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: run.cfg: {message}"), (text, err)
+    # an override names no file
+    assert main(["generate", "--set", "fit.degre=3"]) == EXIT_IO
+    assert capsys.readouterr().err == (
+        "error: unknown configuration key 'fit.degre'\n")
 
 
 def test_precedence_chain(tmp_path, monkeypatch):

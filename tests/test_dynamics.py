@@ -71,8 +71,6 @@ def test_map_degree_grows_linearly_with_order():
 
 def test_map_metadata():
     fmap = build_truncated_flow_map(lorenz_field(LorenzParams()), 2, 0.02)
-    assert fmap.order == 2
-    assert fmap.delta_t == 0.02
     assert fmap.dimension == 3
 
 

@@ -269,6 +269,20 @@ def test_fit_kfold_underdetermined(default_series, default_space):
         fit_kfold(default_series, default_space, cfg)
 
 
+def test_fit_kfold_row_count_boundary(default_series, default_space):
+    # degree 1 without the constant has 3 terms over m = 3; the range
+    # (0, 15) leaves points 0 and 1, and (0, 16) adds point 2
+    cfg = FitConfig(degree=1, include_constant=False, folds=1,
+                    training_range=(0, 15))
+    with pytest.raises(UnderdeterminedSystemError, match=(
+            r"^2 usable rows cannot determine 3 coefficients "
+            r"\(degree 1, constant False\)$")):
+        fit_kfold(default_series, default_space, cfg)
+    cfg = FitConfig(degree=1, include_constant=False, folds=1,
+                    training_range=(0, 16))
+    assert len(fit_kfold(default_series, default_space, cfg).coefficients) == 3
+
+
 def test_fit_kfold_names_failing_fold():
     # every fold complement of a constant series is rank deficient
     series = TimeSeries(np.full(10, 2.5))

@@ -50,9 +50,13 @@ MUTANTS = (
            "searching[mags[-2] < mags[-1]] = False",
            "correct_block: a tie no longer ends the search"),
     Mutant("correction.py",
-           "perfect = nonzero_before[ends + 1] == nonzero_before[ends - window]",
-           "perfect = nonzero_before[ends + 1] == nonzero_before[ends - window + 1]",
-           "a perfect window ignores its oldest error"),
+           "return before[ends + 1] - before[ends - window]",
+           "return before[ends + 1] - before[ends - window + 1]",
+           "window counts miss a window's oldest flag"),
+    Mutant("correction.py",
+           "return before[ends + 1] - before[ends - window]",
+           "return before[ends + 1] - before[ends - window - 1]",
+           "window counts reach one flag before the window"),
     Mutant("fitting.py",
            "return PolynomialMap(basis, np.mean(per_fold, axis=0))",
            "return PolynomialMap(basis, np.median(per_fold, axis=0))",
@@ -66,13 +70,25 @@ MUTANTS = (
            "if False:",
            "load_map accepts a repeated monomial"),
     Mutant("evaluate.py",
-           "bad_window = bad_before[at + 1] > bad_before[at - window]",
-           "bad_window = bad_before[at + 1] > bad_before[at - window + 1]",
-           "non-finite check misses a window's oldest error"),
-    Mutant("evaluate.py",
-           "bad_window = bad_before[at + 1] > bad_before[at - window]",
-           "bad_window = bad_before[at + 1] > bad_before[at - window - 1]",
-           "non-finite check reaches one error before the window"),
+           "check_anchors(entries, first + span + 2, last + span + 2, space, window)",
+           "check_anchors(entries, first + span + 3, last + span + 2, space, window)",
+           "a batch accepts the anchor one before the first valid one"),
+    Mutant("fitting.py",
+           "if len(rows) < basis.size:",
+           "if len(rows) < basis.size - 1:",
+           "fit_kfold leaves one missing row to the solver"),
+    Mutant("io.py",
+           "if len(terms) != basis.size:",
+           "if len(terms) > basis.size:",
+           "load_map accepts a map with a missing term line"),
+    Mutant("io.py",
+           "if not math.isfinite(coeff):",
+           "if False:",
+           "load_map accepts a non-finite coefficient"),
+    Mutant("cli.py",
+           "if fmap.basis.variable_count != config.dimension:",
+           "if False:",
+           "a map over the wrong number of variables reaches the forecast"),
     # the tolerance and limit are scaled where they are used: the tests
     # read the constants, so scaling a definition would move both sides
     Mutant("fitting.py",
